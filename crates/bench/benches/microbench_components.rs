@@ -4,7 +4,6 @@
 
 use bifrost_core::prelude::*;
 use bifrost_metrics::{Aggregation, RangeQuery, Sample, SeriesKey, SharedMetricStore, TimestampMs};
-use bifrost_simnet::SimTime;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 const DSL_SOURCE: &str = r#"
@@ -82,27 +81,10 @@ fn bench_dsl_parse(c: &mut Criterion) {
     });
 }
 
-fn bench_scheduler(c: &mut Criterion) {
-    c.bench_function("scheduler_schedule_pop_1000", |b| {
-        b.iter(|| {
-            let mut scheduler: bifrost_simnet::Scheduler<u64> = bifrost_simnet::Scheduler::new();
-            for i in 0..1_000u64 {
-                scheduler.schedule_at(SimTime::from_millis((i * 37) % 10_000), i);
-            }
-            let mut sum = 0u64;
-            while let Some(event) = scheduler.pop() {
-                sum = sum.wrapping_add(event.payload);
-            }
-            criterion::black_box(sum)
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_model_primitives,
     bench_metric_store,
-    bench_dsl_parse,
-    bench_scheduler
+    bench_dsl_parse
 );
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! Maps a figure name (`fig6`, `fig7`/`fig8`, `fig9`/`fig10`) to a trial
 //! function producing labelled measurements, runs it under
 //! [`runner::run_trials`], and aggregates the outcomes into a
-//! [`BenchReport`]. Both the `experiments` binary and the `bifrost bench`
-//! CLI command go through this module, so the JSON they emit is identical.
+//! [`BenchReport`]. The `experiments` binary runs every figure through this
+//! module.
 //!
 //! All reported metrics are **lower-is-better** (milliseconds or seconds of
 //! latency/delay/overhead), which is what the perf-regression gate assumes.
@@ -292,8 +292,10 @@ mod tests {
 
     #[test]
     fn unknown_figures_are_rejected() {
-        assert!(run_figure("fig99", true, None, None, &RunnerConfig::default()).is_none());
-        assert!(point_names("fig99").is_none());
+        for unknown in ["fig99", "nope"] {
+            assert!(run_figure(unknown, true, None, None, &RunnerConfig::default()).is_none());
+            assert!(point_names(unknown).is_none());
+        }
     }
 
     #[test]
@@ -395,6 +397,12 @@ mod tests {
         // Routing accuracy at 5k requests stays within 2 percentage points.
         assert!(report.point("split/abs_error_pct").unwrap().stats.mean < 2.0);
         assert!(report.point("shadow/abs_error_pct").unwrap().stats.mean < 2.0);
+        // A smaller request override still emits the latency and split points.
+        let small =
+            run_figure("traffic", true, None, Some(2_000), &RunnerConfig::default()).unwrap();
+        for point in ["latency/mean_ms", "split/abs_error_pct"] {
+            assert!(small.point(point).is_some(), "missing {point}");
+        }
     }
 
     #[test]

@@ -1,14 +1,9 @@
 //! CLI commands: argument parsing and command execution.
 
 use crate::dashboard::Dashboard;
-use bifrost_bench::runner::RunnerConfig;
-use bifrost_bench::{render_bench_report, suite};
 use bifrost_casestudy::prelude::*;
-use bifrost_core::seed::Seed;
 use bifrost_dsl::{BackendDoc, EngineDoc};
-use bifrost_engine::{
-    BackendDefaults, BackendProfile, BifrostEngine, EngineConfig, QueuedBackend, TrafficProfile,
-};
+use bifrost_engine::{BackendProfile, BifrostEngine, EngineConfig, QueuedBackend, TrafficProfile};
 use bifrost_metrics::SharedMetricStore;
 use bifrost_simnet::SimTime;
 use bifrost_workload::LoadProfile;
@@ -61,23 +56,12 @@ pub const USAGE: &str = "bifrost — automated enactment of multi-phase live tes
 USAGE:
     bifrost validate <strategy.yml>     check a strategy file and print its summary
     bifrost dot <strategy.yml>          render the strategy's automaton as Graphviz dot
-    bifrost run <strategy.yml> [--verbose] [--deadline <secs>] [--shards N]
-                [--traffic <rps>] [--replicas N] [--queue-capacity N] [--timeout-ms N]
+    bifrost run <strategy.yml> [--verbose] [--deadline <secs>] [--traffic <rps>]
                                         enact the strategy against the simulated deployment
-                                        (--shards overrides the session-store shard count,
-                                        also settable via the file's engine.session_shards;
-                                        --traffic drives seeded request-level traffic through
-                                        every proxied service, honouring the file's
-                                        engine.tick/cores/backends; --replicas,
-                                        --queue-capacity, and --timeout-ms give versions
-                                        without a backends: entry queued replicas)
+                                        (--traffic drives seeded request-level traffic through
+                                        every proxied service, shaped by the file's
+                                        engine: tick, cores, and backends)
     bifrost demo [--verbose]            run the product-replacement evaluation scenario
-    bifrost bench [--fig <fig6|fig7|fig9|traffic|sessions|backends>] [--trials N]
-                  [--threads M] [--base-seed S] [--max N] [--requests N] [--quick]
-                  [--json <out.json>]
-                                        run a paper figure as a multi-trial parallel
-                                        experiment with deterministic per-trial seeds
-                                        (--threads defaults to available parallelism)
     bifrost help                        show this message";
 
 /// A parsed CLI invocation.
@@ -101,45 +85,15 @@ pub enum Command {
         verbose: bool,
         /// Virtual-time deadline in seconds.
         deadline_secs: u64,
-        /// Session-store shard count override (`--shards`); `None` defers
-        /// to the strategy file's `engine.session_shards`, then the engine
-        /// default.
-        session_shards: Option<usize>,
         /// Request rate of seeded request-level traffic to drive through
         /// every proxied service (`--traffic`); `None` enacts without
         /// traffic (the historical behaviour).
         traffic_rps: Option<f64>,
-        /// Default replica count for versions without an explicit
-        /// `backends:` entry (`--replicas`).
-        backend_replicas: Option<usize>,
-        /// Default per-replica queue bound (`--queue-capacity`).
-        backend_queue: Option<usize>,
-        /// Default backend timeout in milliseconds (`--timeout-ms`).
-        backend_timeout_ms: Option<u64>,
     },
     /// Run the built-in product-replacement demo scenario.
     Demo {
         /// Show individual check executions.
         verbose: bool,
-    },
-    /// Run a paper figure as a multi-trial parallel benchmark.
-    Bench {
-        /// The figure to run (`fig6`, `fig7`, `fig9`, and their aliases).
-        figure: String,
-        /// Number of independent trials.
-        trials: usize,
-        /// Number of worker threads sharing the trial queue.
-        threads: usize,
-        /// Base seed; trial `i` runs with seed `base_seed + i`.
-        base_seed: u64,
-        /// Sweep bound for the engine-scalability figures.
-        max: Option<usize>,
-        /// Request volume for the traffic figure.
-        requests: Option<usize>,
-        /// Use the compressed (quick) timeline.
-        quick: bool,
-        /// Write the machine-readable report to this path.
-        json: Option<PathBuf>,
     },
     /// Print the usage text.
     Help,
@@ -174,11 +128,7 @@ impl Command {
                     .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
                 let mut verbose = false;
                 let mut deadline_secs = 7 * 24 * 3_600;
-                let mut session_shards = None;
                 let mut traffic_rps = None;
-                let mut backend_replicas = None;
-                let mut backend_queue = None;
-                let mut backend_timeout_ms = None;
                 let rest: Vec<&str> = iter.collect();
                 let mut i = 0;
                 while i < rest.len() {
@@ -191,17 +141,6 @@ impl Command {
                                 .and_then(|s| s.parse().ok())
                                 .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
                         }
-                        "--shards" => {
-                            i += 1;
-                            let shards: usize = rest
-                                .get(i)
-                                .and_then(|s| s.parse().ok())
-                                .filter(|s| {
-                                    (1..=bifrost_core::routing::MAX_SESSION_SHARDS).contains(s)
-                                })
-                                .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
-                            session_shards = Some(shards);
-                        }
                         "--traffic" => {
                             i += 1;
                             let rps: f64 = rest
@@ -211,33 +150,6 @@ impl Command {
                                 .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
                             traffic_rps = Some(rps);
                         }
-                        "--replicas" => {
-                            i += 1;
-                            let replicas: usize = rest
-                                .get(i)
-                                .and_then(|s| s.parse().ok())
-                                .filter(|v| (1..=bifrost_dsl::ast::MAX_REPLICAS).contains(v))
-                                .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
-                            backend_replicas = Some(replicas);
-                        }
-                        "--queue-capacity" => {
-                            i += 1;
-                            let queue: usize = rest
-                                .get(i)
-                                .and_then(|s| s.parse().ok())
-                                .filter(|v| (1..=bifrost_dsl::ast::MAX_QUEUE_CAPACITY).contains(v))
-                                .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
-                            backend_queue = Some(queue);
-                        }
-                        "--timeout-ms" => {
-                            i += 1;
-                            let timeout: u64 = rest
-                                .get(i)
-                                .and_then(|s| s.parse().ok())
-                                .filter(|v| *v >= 1)
-                                .ok_or_else(|| CliError::Usage(USAGE.to_string()))?;
-                            backend_timeout_ms = Some(timeout);
-                        }
                         _ => return Err(CliError::Usage(USAGE.to_string())),
                     }
                     i += 1;
@@ -246,67 +158,12 @@ impl Command {
                     path: path.into(),
                     verbose,
                     deadline_secs,
-                    session_shards,
                     traffic_rps,
-                    backend_replicas,
-                    backend_queue,
-                    backend_timeout_ms,
                 })
             }
             Some("demo") => {
                 let verbose = iter.any(|a| a == "--verbose" || a == "-v");
                 Ok(Command::Demo { verbose })
-            }
-            Some("bench") => {
-                let rest: Vec<&str> = iter.collect();
-                let mut figure = "fig7".to_string();
-                let mut trials = 1usize;
-                // Trials are seed-deterministic and independent, so default
-                // to the machine's parallelism (the runner caps workers at
-                // the trial count anyway).
-                let mut threads = RunnerConfig::auto_threads();
-                let mut base_seed = Seed::DEFAULT.value();
-                let mut max = None;
-                let mut requests = None;
-                let mut quick = false;
-                let mut json = None;
-                let mut i = 0;
-                let usage = || CliError::Usage(USAGE.to_string());
-                // An explicit 0 is a usage error, not a silently clamped
-                // degenerate run.
-                let count = |text: &str| -> Result<usize, CliError> {
-                    text.parse().ok().filter(|v| *v >= 1).ok_or_else(usage)
-                };
-                while i < rest.len() {
-                    let take = |i: &mut usize| -> Result<&str, CliError> {
-                        *i += 1;
-                        rest.get(*i).copied().ok_or_else(usage)
-                    };
-                    match rest[i] {
-                        "--fig" | "--figure" => figure = take(&mut i)?.to_string(),
-                        "--trials" => trials = count(take(&mut i)?)?,
-                        "--threads" => threads = count(take(&mut i)?)?,
-                        "--base-seed" => base_seed = take(&mut i)?.parse().map_err(|_| usage())?,
-                        "--max" => max = Some(take(&mut i)?.parse().map_err(|_| usage())?),
-                        "--requests" => {
-                            requests = Some(take(&mut i)?.parse().map_err(|_| usage())?)
-                        }
-                        "--quick" => quick = true,
-                        "--json" => json = Some(PathBuf::from(take(&mut i)?)),
-                        _ => return Err(usage()),
-                    }
-                    i += 1;
-                }
-                Ok(Command::Bench {
-                    figure,
-                    trials,
-                    threads,
-                    base_seed,
-                    max,
-                    requests,
-                    quick,
-                    json,
-                })
             }
             Some(other) => Err(CliError::Usage(format!(
                 "unknown command '{other}'\n\n{USAGE}"
@@ -370,88 +227,20 @@ pub fn run_command(command: &Command) -> Result<CommandOutput, CliError> {
             path,
             verbose,
             deadline_secs,
-            session_shards,
             traffic_rps,
-            backend_replicas,
-            backend_queue,
-            backend_timeout_ms,
         } => {
             let document = load_document(path)?;
             let strategy = bifrost_dsl::compile(&document)?;
-            // CLI flag > strategy file's engine section > engine default.
-            let shards = session_shards.or(document.engine.session_shards);
-            // Any backend flag opts profile-only versions into queued
-            // replicas with the given shape.
-            let backend_defaults = (backend_replicas.is_some()
-                || backend_queue.is_some()
-                || backend_timeout_ms.is_some())
-            .then(|| {
-                BackendDefaults::new(
-                    backend_replicas.unwrap_or(1),
-                    backend_queue.unwrap_or(bifrost_engine::backends::DEFAULT_QUEUE_CAPACITY),
-                    backend_timeout_ms
-                        .map(Duration::from_millis)
-                        .unwrap_or(bifrost_engine::backends::DEFAULT_BACKEND_TIMEOUT),
-                )
-            });
-            let options = RunOptions {
-                verbose: *verbose,
-                deadline_secs: *deadline_secs,
-                session_shards: shards,
-                traffic_rps: *traffic_rps,
-                backend_defaults,
-            };
-            Ok(enact_strategy(strategy, &document.engine, &options))
+            Ok(enact_strategy(
+                strategy,
+                &document.engine,
+                *verbose,
+                *deadline_secs,
+                *traffic_rps,
+            ))
         }
         Command::Demo { verbose } => Ok(run_demo(*verbose)),
-        Command::Bench {
-            figure,
-            trials,
-            threads,
-            base_seed,
-            max,
-            requests,
-            quick,
-            json,
-        } => run_bench(
-            figure,
-            RunnerConfig::default()
-                .with_trials(*trials)
-                .with_threads(*threads)
-                .with_base_seed(Seed::new(*base_seed)),
-            *max,
-            *requests,
-            *quick,
-            json.as_deref(),
-        ),
     }
-}
-
-/// Runs a paper figure through the multi-trial runner and optionally writes
-/// the machine-readable `BENCH_<fig>.json` report.
-fn run_bench(
-    figure: &str,
-    config: RunnerConfig,
-    max: Option<usize>,
-    requests: Option<usize>,
-    quick: bool,
-    json: Option<&std::path::Path>,
-) -> Result<CommandOutput, CliError> {
-    let report = suite::run_figure(figure, quick, max, requests, &config).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown figure '{figure}' (expected one of: {})\n\n{USAGE}",
-            suite::FIGURES.join(", ")
-        ))
-    })?;
-    let mut text = render_bench_report(&report);
-    if let Some(path) = json {
-        std::fs::write(path, report.render_json()).map_err(|e| CliError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        text.push_str(&format!("wrote {}\n", path.display()));
-    }
-    Ok(CommandOutput::ok(text))
 }
 
 fn load_document(path: &PathBuf) -> Result<bifrost_dsl::StrategyDocument, CliError> {
@@ -464,15 +253,6 @@ fn load_document(path: &PathBuf) -> Result<bifrost_dsl::StrategyDocument, CliErr
 
 fn load_strategy(path: &PathBuf) -> Result<bifrost_core::Strategy, CliError> {
     Ok(bifrost_dsl::compile(&load_document(path)?)?)
-}
-
-/// How `bifrost run` enacts a strategy.
-struct RunOptions {
-    verbose: bool,
-    deadline_secs: u64,
-    session_shards: Option<usize>,
-    traffic_rps: Option<f64>,
-    backend_defaults: Option<BackendDefaults>,
 }
 
 /// Builds the queued backend of one `engine: backends:` declaration.
@@ -494,17 +274,12 @@ fn queued_from_doc(doc: &BackendDoc) -> QueuedBackend {
 fn enact_strategy(
     strategy: bifrost_core::Strategy,
     engine_doc: &EngineDoc,
-    options: &RunOptions,
+    verbose: bool,
+    deadline_secs: u64,
+    traffic_rps: Option<f64>,
 ) -> CommandOutput {
     let store = SharedMetricStore::new();
-    let mut config = EngineConfig::default();
-    if let Some(shards) = options.session_shards {
-        config = config.with_session_shards(shards);
-    }
-    if let Some(defaults) = options.backend_defaults {
-        config = config.with_backend_defaults(defaults);
-    }
-    let mut engine = BifrostEngine::new(config);
+    let mut engine = BifrostEngine::new(EngineConfig::default());
     engine.register_store_provider("prometheus", store.clone());
     // Register one proxy per service, defaulting to the first version.
     let registrations: Vec<_> = strategy
@@ -520,9 +295,9 @@ fn enact_strategy(
     // Attach a traffic stream per proxied service, its backends shaped by
     // the strategy file's engine section.
     let mut streams = Vec::new();
-    if let Some(rps) = options.traffic_rps {
+    if let Some(rps) = traffic_rps {
         let nominal = strategy.nominal_duration().as_secs() + 30;
-        let duration = Duration::from_secs(options.deadline_secs.min(nominal));
+        let duration = Duration::from_secs(deadline_secs.min(nominal));
         let catalog = strategy.services();
         for (service_id, versions) in &registrations {
             let service_name = catalog
@@ -558,8 +333,8 @@ fn enact_strategy(
         }
     }
     let handle = engine.schedule(strategy, SimTime::ZERO);
-    engine.run_to_completion(SimTime::from_secs(options.deadline_secs));
-    let dashboard = Dashboard::new().verbose(options.verbose);
+    engine.run_to_completion(SimTime::from_secs(deadline_secs));
+    let dashboard = Dashboard::new().verbose(verbose);
     let mut text = dashboard.render(&engine);
     let exit_code = match engine.report(handle) {
         Some(report) if report.succeeded() => 0,
@@ -651,37 +426,20 @@ mod tests {
                 "--verbose",
                 "--deadline",
                 "600",
-                "--shards",
-                "16",
                 "--traffic",
                 "250.5",
-                "--replicas",
-                "2",
-                "--queue-capacity",
-                "128",
-                "--timeout-ms",
-                "250",
             ]))
             .unwrap(),
             Command::Run {
                 path: "s.yml".into(),
                 verbose: true,
                 deadline_secs: 600,
-                session_shards: Some(16),
                 traffic_rps: Some(250.5),
-                backend_replicas: Some(2),
-                backend_queue: Some(128),
-                backend_timeout_ms: Some(250),
             }
         );
-        assert!(Command::parse(&strings(&["run", "s.yml", "--shards", "0"])).is_err());
-        assert!(Command::parse(&strings(&["run", "s.yml", "--shards", "99999999999"])).is_err());
-        assert!(Command::parse(&strings(&["run", "s.yml", "--shards"])).is_err());
         assert!(Command::parse(&strings(&["run", "s.yml", "--traffic", "0"])).is_err());
         assert!(Command::parse(&strings(&["run", "s.yml", "--traffic", "-5"])).is_err());
-        assert!(Command::parse(&strings(&["run", "s.yml", "--replicas", "0"])).is_err());
-        assert!(Command::parse(&strings(&["run", "s.yml", "--queue-capacity", "0"])).is_err());
-        assert!(Command::parse(&strings(&["run", "s.yml", "--timeout-ms", "0"])).is_err());
+        assert!(Command::parse(&strings(&["bench"])).is_err());
         assert_eq!(
             Command::parse(&strings(&["demo", "-v"])).unwrap(),
             Command::Demo { verbose: true }
@@ -715,8 +473,6 @@ mod tests {
             &path,
             r#"
 name: cli-test
-engine:
-  session_shards: 2
 strategy:
   phases:
     - phase: canary
@@ -746,11 +502,7 @@ strategy:
             path: path.clone(),
             verbose: false,
             deadline_secs: 3_600,
-            session_shards: Some(4),
             traffic_rps: None,
-            backend_replicas: None,
-            backend_queue: None,
-            backend_timeout_ms: None,
         })
         .unwrap();
         // The strategy has no checks, so it auto-passes and succeeds.
@@ -782,80 +534,10 @@ strategy:
     }
 
     #[test]
-    fn parse_bench_command_with_flags() {
-        assert_eq!(
-            Command::parse(&strings(&["bench"])).unwrap(),
-            Command::Bench {
-                figure: "fig7".into(),
-                trials: 1,
-                // Defaults to the machine's parallelism (thread count
-                // never changes results).
-                threads: RunnerConfig::auto_threads(),
-                base_seed: 42,
-                max: None,
-                requests: None,
-                quick: false,
-                json: None,
-            }
-        );
-        assert_eq!(
-            Command::parse(&strings(&[
-                "bench",
-                "--fig",
-                "fig9",
-                "--trials",
-                "4",
-                "--threads",
-                "2",
-                "--base-seed",
-                "7",
-                "--max",
-                "80",
-                "--requests",
-                "5000",
-                "--quick",
-                "--json",
-                "out.json",
-            ]))
-            .unwrap(),
-            Command::Bench {
-                figure: "fig9".into(),
-                trials: 4,
-                threads: 2,
-                base_seed: 7,
-                max: Some(80),
-                requests: Some(5_000),
-                quick: true,
-                json: Some("out.json".into()),
-            }
-        );
-        assert!(Command::parse(&strings(&["bench", "--trials"])).is_err());
-        assert!(Command::parse(&strings(&["bench", "--trials", "x"])).is_err());
-        assert!(Command::parse(&strings(&["bench", "--bogus"])).is_err());
-        // Explicit zeros are usage errors, not silently clamped runs.
-        assert!(Command::parse(&strings(&["bench", "--trials", "0"])).is_err());
-        assert!(Command::parse(&strings(&["bench", "--threads", "0"])).is_err());
-    }
-
-    #[test]
     fn run_with_traffic_drives_queued_backends_from_the_engine_section() {
         let dir = std::env::temp_dir().join(format!("bifrost-cli-traffic-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("traffic.yml");
-        fs::write(
-            &path,
-            r#"
-name: traffic-run
-engine:
-  tick: 0.5
-  cores: 4
-  backends:
-    - service: search
-      version: v2
-      service_time_ms: 5
-      replicas: 2
-      queue_capacity: 64
-      timeout_ms: 250
+        let strategy = r#"
 strategy:
   phases:
     - phase: canary
@@ -864,82 +546,47 @@ strategy:
       candidate: v2
       traffic: 20
       duration: 30
-"#,
-        )
-        .unwrap();
-        let output = run_command(&Command::Run {
-            path,
-            verbose: false,
-            deadline_secs: 600,
-            session_shards: None,
-            traffic_rps: Some(200.0),
-            backend_replicas: Some(4),
-            backend_queue: None,
-            backend_timeout_ms: None,
-        })
-        .unwrap();
-        assert_eq!(output.exit_code, 0, "output: {}", output.text);
-        // The traffic summary line reports routed volume and latency.
-        assert!(output.text.contains("traffic search:"), "{}", output.text);
-        assert!(output.text.contains("requests"), "{}", output.text);
+"#;
+        // One slow replica with a two-request queue cannot absorb a 20%
+        // canary of 200 req/s, so the file alone makes the canary shed.
+        let undersized = r#"
+name: traffic-run
+engine:
+  tick: 0.5
+  cores: 4
+  backends:
+    - service: search
+      version: v2
+      service_time_ms: 200
+      replicas: 1
+      queue_capacity: 2
+      timeout_ms: 250
+"#;
+        let shed_of = |engine_section: &str| -> u64 {
+            let path = dir.join("traffic.yml");
+            fs::write(&path, format!("{engine_section}{strategy}")).unwrap();
+            let output = run_command(&Command::Run {
+                path,
+                verbose: false,
+                deadline_secs: 600,
+                traffic_rps: Some(200.0),
+            })
+            .unwrap();
+            assert_eq!(output.exit_code, 0, "output: {}", output.text);
+            let line = output
+                .text
+                .lines()
+                .find(|line| line.starts_with("traffic search:"))
+                .unwrap_or_else(|| panic!("no traffic summary in {}", output.text));
+            let shed = line
+                .split(", ")
+                .find_map(|field| field.strip_suffix(" shed"))
+                .unwrap_or_else(|| panic!("no shed count in {line}"));
+            shed.parse().unwrap()
+        };
+        assert!(shed_of(undersized) > 0);
+        assert_eq!(shed_of("name: traffic-run\n"), 0);
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_command_runs_trials_and_writes_json() {
-        let dir = std::env::temp_dir().join(format!("bifrost-cli-bench-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_fig9.json");
-        let output = run_command(&Command::Bench {
-            figure: "fig9".into(),
-            trials: 2,
-            threads: 2,
-            base_seed: 7,
-            max: Some(8),
-            requests: None,
-            quick: true,
-            json: Some(json.clone()),
-        })
-        .unwrap();
-        assert_eq!(output.exit_code, 0);
-        assert!(output.text.contains("checks=8"), "{}", output.text);
-        assert!(output.text.contains("wrote"));
-        let report =
-            bifrost_bench::BenchReport::parse(&fs::read_to_string(&json).unwrap()).unwrap();
-        assert_eq!(report.figure, "fig9");
-        assert_eq!(report.trials, 2);
-        fs::remove_dir_all(&dir).ok();
-
-        let err = run_command(&Command::Bench {
-            figure: "nope".into(),
-            trials: 1,
-            threads: 1,
-            base_seed: 42,
-            max: None,
-            requests: None,
-            quick: true,
-            json: None,
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown figure"));
-    }
-
-    #[test]
-    fn bench_traffic_figure_runs_with_request_override() {
-        let output = run_command(&Command::Bench {
-            figure: "traffic".into(),
-            trials: 1,
-            threads: 1,
-            base_seed: 42,
-            max: None,
-            requests: Some(2_000),
-            quick: true,
-            json: None,
-        })
-        .unwrap();
-        assert_eq!(output.exit_code, 0);
-        assert!(output.text.contains("latency/mean_ms"), "{}", output.text);
-        assert!(output.text.contains("split/abs_error_pct"));
     }
 
     #[test]
@@ -979,11 +626,7 @@ strategy:
             path,
             verbose: false,
             deadline_secs: 30 * 86_400,
-            session_shards: None,
             traffic_rps: None,
-            backend_replicas: None,
-            backend_queue: None,
-            backend_timeout_ms: None,
         })
         .unwrap();
         assert_eq!(output.exit_code, 0);

@@ -20,22 +20,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 pub struct Percentage(f64);
 
-/// The default shard count of a proxy's sticky-session table.
-///
-/// Eight shards keep per-shard trees shallow at realistic binding counts
-/// and stripe lock contention well below typical core counts, while
-/// staying cheap for tiny stores. Defined here (rather than in the proxy
-/// crate) so the DSL and CLI can validate the knob without depending on
-/// the proxy implementation; `bifrost_proxy` re-exports both constants.
-pub const DEFAULT_SESSION_SHARDS: usize = 8;
-
-/// The maximum shard count of a proxy's sticky-session table. Shards
-/// beyond any plausible core count only add fixed per-shard cost, and an
-/// unbounded knob would let a config typo demand an absurd allocation per
-/// proxy — the DSL and CLI reject values above this, and the store clamps
-/// as a last line.
-pub const MAX_SESSION_SHARDS: usize = 1_024;
-
 impl Percentage {
     /// Creates a percentage.
     ///

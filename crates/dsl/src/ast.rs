@@ -187,14 +187,13 @@ impl BackendDoc {
     }
 }
 
-/// Enactment-engine settings declared in a strategy file. These do not
-/// alter the compiled strategy — they tune the engine the CLI builds to
-/// enact it (and default to the engine's own defaults when absent).
+/// Enactment settings declared in a strategy file's `engine:` section. They
+/// do not alter the compiled strategy — they shape the request-level
+/// traffic the CLI drives through it, and are the only place that does
+/// (absent keys keep the traffic profile's defaults; unknown keys are
+/// rejected).
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EngineDoc {
-    /// How many ways each proxy shards its sticky-session table
-    /// (`session_shards`, minimum 1). `None` keeps the engine default.
-    pub session_shards: Option<usize>,
     /// The traffic batching tick in seconds (`tick`, fractional values
     /// allowed). `None` keeps the traffic profile's default.
     pub tick_secs: Option<f64>,
@@ -303,25 +302,7 @@ fn parse_deployment(yaml: &YamlValue) -> Result<DeploymentDoc, DslError> {
 }
 
 fn parse_engine(yaml: &YamlValue) -> Result<EngineDoc, DslError> {
-    let session_shards = match yaml.get("session_shards") {
-        None => None,
-        Some(value) => {
-            let shards = value
-                .as_i64()
-                .filter(|v| (1..=bifrost_core::routing::MAX_SESSION_SHARDS as i64).contains(v))
-                .ok_or_else(|| {
-                    DslError::invalid(
-                        "engine section",
-                        "session_shards",
-                        format!(
-                            "must be an integer in 1..={}",
-                            bifrost_core::routing::MAX_SESSION_SHARDS
-                        ),
-                    )
-                })?;
-            Some(shards as usize)
-        }
-    };
+    reject_unknown_keys(yaml, "engine section", &["tick", "cores", "backends"])?;
     let tick_secs = match yaml.get("tick") {
         None => None,
         Some(value) => {
@@ -364,7 +345,6 @@ fn parse_engine(yaml: &YamlValue) -> Result<EngineDoc, DslError> {
         }
     };
     Ok(EngineDoc {
-        session_shards,
         tick_secs,
         cores,
         backends,
@@ -374,6 +354,19 @@ fn parse_engine(yaml: &YamlValue) -> Result<EngineDoc, DslError> {
 fn parse_backend(yaml: &YamlValue) -> Result<BackendDoc, DslError> {
     let version = require_str(yaml, "version", "engine backend")?;
     let context = format!("engine backend '{version}'");
+    reject_unknown_keys(
+        yaml,
+        &context,
+        &[
+            "service",
+            "version",
+            "service_time_ms",
+            "error_rate",
+            "replicas",
+            "queue_capacity",
+            "timeout_ms",
+        ],
+    )?;
     let bounded_ms = |field: &str, default: u64| -> Result<u64, DslError> {
         match yaml.get(field) {
             None => Ok(default),
@@ -569,6 +562,23 @@ fn parse_check(yaml: &YamlValue, phase_context: &str) -> Result<CheckDoc, DslErr
     })
 }
 
+/// Fails on the first key of the mapping `yaml` that is not in `known`, so
+/// a misspelt or retired setting is an error instead of a silent default.
+fn reject_unknown_keys(yaml: &YamlValue, context: &str, known: &[&str]) -> Result<(), DslError> {
+    let entries = yaml.as_map().unwrap_or_default();
+    match entries
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(DslError::invalid(
+            context,
+            key,
+            format!("unknown key (expected one of: {})", known.join(", ")),
+        )),
+        None => Ok(()),
+    }
+}
+
 fn require_str(yaml: &YamlValue, field: &str, context: &str) -> Result<String, DslError> {
     yaml.get(field)
         .and_then(YamlValue::scalar_to_string)
@@ -699,41 +709,10 @@ strategy:
     }
 
     #[test]
-    fn engine_section_parses_session_shards() {
-        let source = r#"
-name: x
-engine:
-  session_shards: 16
-strategy:
-  phases:
-    - phase: canary
-      service: search
-      stable: a
-      candidate: b
-"#;
-        let doc = StrategyDocument::from_yaml(&yaml::parse(source).unwrap()).unwrap();
-        assert_eq!(doc.engine.session_shards, Some(16));
-        // Absent section → defaults.
-        let bare = r#"
-name: x
-strategy:
-  phases:
-    - phase: canary
-      service: search
-      stable: a
-      candidate: b
-"#;
-        let doc = StrategyDocument::from_yaml(&yaml::parse(bare).unwrap()).unwrap();
-        assert_eq!(doc.engine, EngineDoc::default());
-        assert_eq!(doc.engine.session_shards, None);
-    }
-
-    #[test]
     fn engine_section_parses_tick_cores_and_backends() {
         let source = r#"
 name: x
 engine:
-  session_shards: 4
   tick: 0.5
   cores: 8
   backends:
@@ -777,6 +756,10 @@ strategy:
         assert_eq!(sparse.queue_capacity, 64);
         assert_eq!(sparse.timeout_ms, 1_000);
         assert!(sparse.matches("anything", "v9"));
+        // An absent section takes the defaults.
+        let bare = "name: x\nstrategy:\n  phases:\n    - phase: canary\n      service: s\n      stable: a\n      candidate: b\n";
+        let doc = StrategyDocument::from_yaml(&yaml::parse(bare).unwrap()).unwrap();
+        assert_eq!(doc.engine, EngineDoc::default());
     }
 
     #[test]
@@ -807,6 +790,10 @@ strategy:
                 "backends:\n    - version: v\n      service_time_ms: -4",
                 "service_time_ms",
             ),
+            // Unknown keys are named, not silently ignored.
+            ("tik: 0.5", "tik"),
+            ("session_shards: 16", "session_shards"),
+            ("backends:\n    - version: v\n      replica: 2", "replica"),
         ];
         for (bad, field) in cases {
             let source = format!(
@@ -814,22 +801,6 @@ strategy:
             );
             let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
             assert!(err.to_string().contains(field), "{bad}: {err}");
-        }
-    }
-
-    #[test]
-    fn engine_section_rejects_invalid_shard_counts() {
-        for bad in [
-            "session_shards: 0",
-            "session_shards: -4",
-            "session_shards: lots",
-            "session_shards: 99999999999",
-        ] {
-            let source = format!(
-                "name: x\nengine:\n  {bad}\nstrategy:\n  phases:\n    - phase: canary\n      service: s\n      stable: a\n      candidate: b\n"
-            );
-            let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
-            assert!(err.to_string().contains("session_shards"), "{bad}: {err}");
         }
     }
 

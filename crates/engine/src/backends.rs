@@ -100,41 +100,6 @@ impl QueuedBackend {
     }
 }
 
-/// Engine-level default capacity shape applied to versions that only
-/// declare a plain [`crate::traffic::BackendProfile`]: the profile supplies
-/// service time and error rate, these defaults supply the queueing model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendDefaults {
-    /// Replicas per version.
-    pub replicas: usize,
-    /// Per-replica queue bound.
-    pub queue_capacity: usize,
-    /// Request timeout.
-    pub timeout: Duration,
-}
-
-impl Default for BackendDefaults {
-    fn default() -> Self {
-        Self {
-            replicas: 1,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            timeout: DEFAULT_BACKEND_TIMEOUT,
-        }
-    }
-}
-
-impl BackendDefaults {
-    /// Creates defaults with the given shape (each knob clamped to its
-    /// minimum).
-    pub fn new(replicas: usize, queue_capacity: usize, timeout: Duration) -> Self {
-        Self {
-            replicas: replicas.max(1),
-            queue_capacity: queue_capacity.max(1),
-            timeout: timeout.max(Duration::from_millis(1)),
-        }
-    }
-}
-
 /// The outcome of handing one request to a version's replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendDispatch {
@@ -377,8 +342,6 @@ mod tests {
                 .error_rate,
             0.0
         );
-        let d = BackendDefaults::new(0, 0, Duration::ZERO);
-        assert_eq!((d.replicas, d.queue_capacity), (1, 1));
     }
 
     #[test]

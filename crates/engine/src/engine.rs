@@ -1,7 +1,7 @@
 //! The Bifrost engine: strategy scheduling, timed check execution, state
 //! transitions, and proxy configuration over virtual time.
 
-use crate::backends::{BackendDefaults, BackendFleet};
+use crate::backends::BackendFleet;
 use crate::cost::EngineCostModel;
 use crate::events::{EngineEvent, EventLog, EventQueue};
 use crate::execution::StrategyExecution;
@@ -56,12 +56,6 @@ pub struct EngineConfig {
     /// statistics are identical for every shard count — the knob only
     /// moves the routing hot path's scalability.
     pub session_shards: usize,
-    /// Capacity defaults for traffic backends declared as plain
-    /// [`crate::traffic::BackendProfile`]s: when set, those versions are
-    /// served by queued replica servers with this shape instead of the
-    /// degenerate unlimited-capacity model. Versions with an explicit
-    /// [`crate::backends::QueuedBackend`] keep their own shape.
-    pub backend_defaults: Option<BackendDefaults>,
 }
 
 impl Default for EngineConfig {
@@ -72,7 +66,6 @@ impl Default for EngineConfig {
             utilization_sample_interval: Duration::from_secs(1),
             seed: Seed::DEFAULT,
             session_shards: bifrost_proxy::DEFAULT_SESSION_SHARDS,
-            backend_defaults: None,
         }
     }
 }
@@ -88,15 +81,6 @@ impl EngineConfig {
     /// (builder style, minimum 1).
     pub fn with_session_shards(mut self, session_shards: usize) -> Self {
         self.session_shards = session_shards.max(1);
-        self
-    }
-
-    /// Gives profile-only traffic backends a queued capacity shape
-    /// (builder style): `defaults` supplies replicas, queue bound, and
-    /// timeout; each version's profile keeps supplying service time and
-    /// error rate.
-    pub fn with_backend_defaults(mut self, defaults: BackendDefaults) -> Self {
-        self.backend_defaults = Some(defaults);
         self
     }
 }
@@ -227,13 +211,7 @@ impl BifrostEngine {
         store: SharedMetricStore,
     ) -> TrafficHandle {
         let index = self.traffic.len();
-        let stream = TrafficStream::new(
-            profile,
-            index,
-            self.config.seed,
-            store,
-            self.config.backend_defaults,
-        );
+        let stream = TrafficStream::new(profile, index, self.config.seed, store);
         self.traffic_cpus
             .entry(stream.service())
             .or_insert_with(|| CpuResource::new(stream.cores()));

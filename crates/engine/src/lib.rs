@@ -56,7 +56,7 @@ pub mod proxies;
 pub mod report;
 pub mod traffic;
 
-pub use backends::{BackendDefaults, BackendDispatch, BackendFleet, QueuedBackend, VersionBackend};
+pub use backends::{BackendDispatch, BackendFleet, QueuedBackend, VersionBackend};
 pub use cost::EngineCostModel;
 pub use engine::{BifrostEngine, EngineConfig, StrategyHandle};
 pub use events::{DueAction, EngineEvent, EventLog, EventQueue};
@@ -67,9 +67,7 @@ pub use traffic::{BackendModel, BackendProfile, TrafficHandle, TrafficProfile, T
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::backends::{
-        BackendDefaults, BackendDispatch, BackendFleet, QueuedBackend, VersionBackend,
-    };
+    pub use crate::backends::{BackendDispatch, BackendFleet, QueuedBackend, VersionBackend};
     pub use crate::cost::EngineCostModel;
     pub use crate::engine::{BifrostEngine, EngineConfig, StrategyHandle};
     pub use crate::events::{DueAction, EngineEvent, EventLog, EventQueue};

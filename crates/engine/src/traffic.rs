@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::backends::{BackendDefaults, BackendDispatch, BackendFleet, QueuedBackend};
+use crate::backends::{BackendDispatch, BackendFleet, QueuedBackend};
 use crate::proxies::ProxyHandle;
 
 /// The backend behaviour of one service version under traffic: how long the
@@ -100,23 +100,6 @@ impl BackendModel {
         match self {
             BackendModel::Profile(p) => p.service_time,
             BackendModel::Queued(q) => q.service_time,
-        }
-    }
-
-    /// Applies engine-level capacity defaults: a plain profile is upgraded
-    /// to a queued backend with the defaults' replica/queue/timeout shape
-    /// (the profile keeps supplying service time and error rate); explicit
-    /// queued backends are untouched.
-    fn with_defaults(self, defaults: Option<BackendDefaults>) -> Self {
-        match (self, defaults) {
-            (BackendModel::Profile(p), Some(d)) => BackendModel::Queued(QueuedBackend {
-                service_time: p.service_time,
-                error_rate: p.error_rate,
-                replicas: d.replicas,
-                queue_capacity: d.queue_capacity,
-                timeout: d.timeout,
-            }),
-            (model, _) => model,
         }
     }
 }
@@ -371,11 +354,6 @@ pub(crate) struct TrafficStream {
     /// allocates for label bookkeeping. Versions the profile did not name
     /// are added on first sight with their id rendering.
     labels: BTreeMap<VersionId, String>,
-    /// Version → backend model, resolved once from the profile and the
-    /// engine's capacity defaults.
-    models: BTreeMap<VersionId, BackendModel>,
-    /// The resolved model for versions the profile did not name.
-    default_model: BackendModel,
 }
 
 impl TrafficStream {
@@ -387,7 +365,6 @@ impl TrafficStream {
         index: usize,
         seed: Seed,
         store: SharedMetricStore,
-        backend_defaults: Option<BackendDefaults>,
     ) -> Self {
         let stream_seed = seed.stream(&format!("traffic-{index}"));
         let arrivals = profile.load.plan_seeded(stream_seed);
@@ -407,12 +384,6 @@ impl TrafficStream {
             profile.version_labels.values().map(String::as_str),
             SimTime::ZERO.to_timestamp(),
         );
-        let models = profile
-            .backends
-            .iter()
-            .map(|(version, model)| (*version, model.with_defaults(backend_defaults)))
-            .collect();
-        let default_model = profile.default_backend.with_defaults(backend_defaults);
         Self {
             rng: SimRng::seeded(stream_seed.stream("backends").value()),
             shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
@@ -420,20 +391,10 @@ impl TrafficStream {
             arrivals,
             batches,
             labels: profile.version_labels.clone(),
-            models,
-            default_model,
             profile,
             stats: TrafficStats::default(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The resolved backend model of a version.
-    fn model_of(&self, version: VersionId) -> BackendModel {
-        self.models
-            .get(&version)
-            .copied()
-            .unwrap_or(self.default_model)
     }
 
     /// The service this stream targets.
@@ -488,7 +449,7 @@ impl TrafficStream {
             let receipt = cpu.submit(arrival.at, *cost);
             self.stats.proxy_busy += *cost;
             let proxy_ms = (receipt.completed - arrival.at).as_secs_f64() * 1_000.0;
-            let model = self.model_of(decision.primary);
+            let model = self.profile.backend_of(decision.primary);
             // Service demand: the version's mean service time with a ±10%
             // deterministic jitter so latency series are not flat lines
             // (and queued servers see a demand distribution).
@@ -565,7 +526,7 @@ impl TrafficStream {
                 // surfaces to the caller: no latency, no error. The demand
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
-                let shadow_model = self.model_of(shadow.target);
+                let shadow_model = self.profile.backend_of(shadow.target);
                 let label = self
                     .labels
                     .entry(shadow.target)
@@ -699,26 +660,6 @@ mod tests {
             profile.backend_of(VersionId::new(9)).service_time(),
             Duration::from_millis(9)
         );
-    }
-
-    #[test]
-    fn engine_defaults_upgrade_profiles_but_not_explicit_queued_backends() {
-        let defaults = BackendDefaults::new(4, 32, Duration::from_millis(300));
-        let upgraded = BackendModel::Profile(BackendProfile::healthy(Duration::from_millis(8)))
-            .with_defaults(Some(defaults));
-        match upgraded {
-            BackendModel::Queued(q) => {
-                assert_eq!(q.service_time, Duration::from_millis(8));
-                assert_eq!(q.replicas, 4);
-                assert_eq!(q.queue_capacity, 32);
-                assert_eq!(q.timeout, Duration::from_millis(300));
-            }
-            other => panic!("expected queued, got {other:?}"),
-        }
-        let explicit = BackendModel::Queued(QueuedBackend::new(Duration::from_millis(8)));
-        assert_eq!(explicit.with_defaults(Some(defaults)), explicit);
-        let untouched = BackendModel::Profile(BackendProfile::default());
-        assert_eq!(untouched.with_defaults(None), untouched);
     }
 
     #[test]

@@ -106,7 +106,17 @@ impl TokenGenerator {
     }
 }
 
-pub use bifrost_core::routing::{DEFAULT_SESSION_SHARDS, MAX_SESSION_SHARDS};
+/// The default shard count of a proxy's sticky-session table.
+///
+/// Eight shards keep per-shard trees shallow at realistic binding counts
+/// and stripe lock contention well below typical core counts, while
+/// staying cheap for tiny stores.
+pub const DEFAULT_SESSION_SHARDS: usize = 8;
+
+/// The maximum shard count of a proxy's sticky-session table. Shards
+/// beyond any plausible core count only add fixed per-shard cost, so the
+/// store clamps requested counts to this bound.
+pub const MAX_SESSION_SHARDS: usize = 1_024;
 
 /// One independently locked slice of the sticky-session table: the bindings
 /// whose token hashes to this shard, plus this shard's lookup counters.

@@ -4,8 +4,6 @@
 //! paper's Google Cloud / Docker Swarm testbed. It models:
 //!
 //! * **virtual time** ([`SimTime`], microsecond resolution),
-//! * a generic **event scheduler** ([`Scheduler`]) that the engine and the
-//!   workload generator use to interleave timed actions,
 //! * **VMs and containers** with a single-core (or multi-core) CPU whose
 //!   contention produces queueing delay and utilisation
 //!   ([`CpuResource`], [`Vm`], [`Container`]),
@@ -28,14 +26,12 @@ pub mod cluster;
 pub mod cpu;
 pub mod network;
 pub mod rng;
-pub mod scheduler;
 pub mod time;
 
 pub use cluster::{Cluster, Container, ContainerId, InstanceSpec, Vm, VmId};
 pub use cpu::{CpuResource, WorkReceipt};
 pub use network::{LatencyModel, NetworkModel};
 pub use rng::SimRng;
-pub use scheduler::{ScheduledEvent, Scheduler};
 pub use time::SimTime;
 
 /// Convenience re-exports.
@@ -44,6 +40,5 @@ pub mod prelude {
     pub use crate::cpu::{CpuResource, WorkReceipt};
     pub use crate::network::{LatencyModel, NetworkModel};
     pub use crate::rng::SimRng;
-    pub use crate::scheduler::{ScheduledEvent, Scheduler};
     pub use crate::time::SimTime;
 }
