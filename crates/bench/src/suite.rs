@@ -397,12 +397,28 @@ mod tests {
         // Routing accuracy at 5k requests stays within 2 percentage points.
         assert!(report.point("split/abs_error_pct").unwrap().stats.mean < 2.0);
         assert!(report.point("shadow/abs_error_pct").unwrap().stats.mean < 2.0);
+    }
+
+    #[test]
+    fn traffic_figure_honours_a_request_override() {
         // A smaller request override still emits the latency and split points.
         let small =
             run_figure("traffic", true, None, Some(2_000), &RunnerConfig::default()).unwrap();
+        assert_eq!(small.figure, "traffic");
         for point in ["latency/mean_ms", "split/abs_error_pct"] {
             assert!(small.point(point).is_some(), "missing {point}");
         }
+    }
+
+    #[test]
+    fn fig9_trials_round_trip_through_the_json_report() {
+        let config = RunnerConfig::default().with_trials(2).with_threads(2);
+        let report = run_figure("fig9", true, Some(8), None, &config).unwrap();
+        assert!(report.point("checks=8").is_some(), "{report:?}");
+        let parsed = BenchReport::parse(&report.render_json()).unwrap();
+        assert_eq!(parsed.figure, "fig9");
+        assert_eq!(parsed.trials, 2);
+        assert_eq!(parsed.points.len(), report.points.len());
     }
 
     #[test]

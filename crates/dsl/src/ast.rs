@@ -756,7 +756,10 @@ strategy:
         assert_eq!(sparse.queue_capacity, 64);
         assert_eq!(sparse.timeout_ms, 1_000);
         assert!(sparse.matches("anything", "v9"));
-        // An absent section takes the defaults.
+    }
+
+    #[test]
+    fn absent_engine_section_takes_defaults() {
         let bare = "name: x\nstrategy:\n  phases:\n    - phase: canary\n      service: s\n      stable: a\n      candidate: b\n";
         let doc = StrategyDocument::from_yaml(&yaml::parse(bare).unwrap()).unwrap();
         assert_eq!(doc.engine, EngineDoc::default());
@@ -801,6 +804,24 @@ strategy:
             );
             let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
             assert!(err.to_string().contains(field), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn engine_section_rejects_invalid_shard_counts() {
+        // The shard count is an engine-construction value, not a strategy
+        // key: any `session_shards` entry is rejected and named.
+        for bad in [
+            "session_shards: 0",
+            "session_shards: -4",
+            "session_shards: lots",
+            "session_shards: 99999999999",
+        ] {
+            let source = format!(
+                "name: x\nengine:\n  {bad}\nstrategy:\n  phases:\n    - phase: canary\n      service: s\n      stable: a\n      candidate: b\n"
+            );
+            let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
+            assert!(err.to_string().contains("session_shards"), "{bad}: {err}");
         }
     }
 
