@@ -1,4 +1,4 @@
-//! Ablation bench: design choices called out in DESIGN.md.
+//! Ablation bench: routing and engine design choices the paper discusses.
 //!
 //! * cookie-based vs header-based routing (the paper notes cookie routing is
 //!   slower),

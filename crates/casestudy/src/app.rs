@@ -15,7 +15,7 @@ use bifrost_core::service::{Endpoint, Service, ServiceCatalog, ServiceVersion};
 use bifrost_engine::ProxyHandle;
 use bifrost_metrics::{SeriesKey, SharedMetricStore};
 use bifrost_proxy::{ProxyRequest, RoutingDecision};
-use bifrost_simnet::{Cluster, ContainerId, InstanceSpec, SimRng, SimTime};
+use bifrost_simnet::{Cluster, ContainerId, SimRng, SimTime};
 use bifrost_workload::{RequestKind, ResponseRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -146,27 +146,22 @@ impl CaseStudyApp {
         let topology = CaseStudyTopology::new();
         let mut cluster = Cluster::new(store.clone(), seed);
 
-        let place = |cluster: &mut Cluster, name: &str| {
-            let vm = cluster.add_standard_vm(format!("vm-{name}"));
-            cluster.add_container(vm, InstanceSpec::new(name))
-        };
-
-        let nginx = place(&mut cluster, "nginx");
-        let _frontend = place(&mut cluster, "frontend");
-        let auth = place(&mut cluster, "auth");
-        let mongo = place(&mut cluster, "mongodb");
-        let _prometheus = place(&mut cluster, "prometheus");
-        let product_stable_c = place(&mut cluster, "product");
-        let product_a_c = place(&mut cluster, "product-a");
-        let product_b_c = place(&mut cluster, "product-b");
-        let search_c = place(&mut cluster, "search");
-        let fast_search_c = place(&mut cluster, "fastsearch");
+        let nginx = cluster.add_container("nginx");
+        cluster.add_container("frontend");
+        let auth = cluster.add_container("auth");
+        let mongo = cluster.add_container("mongodb");
+        cluster.add_container("prometheus");
+        let product_stable_c = cluster.add_container("product");
+        let product_a_c = cluster.add_container("product-a");
+        let product_b_c = cluster.add_container("product-b");
+        let search_c = cluster.add_container("search");
+        let fast_search_c = cluster.add_container("fastsearch");
 
         let (product_proxy_container, search_proxy_container) = match proxy_deployment {
             ProxyDeployment::None => (None, None),
             ProxyDeployment::Deployed => (
-                Some(place(&mut cluster, "product-proxy")),
-                Some(place(&mut cluster, "search-proxy")),
+                Some(cluster.add_container("product-proxy")),
+                Some(cluster.add_container("search-proxy")),
             ),
         };
 
@@ -247,11 +242,6 @@ impl CaseStudyApp {
         self.requests_served
     }
 
-    /// Access to the underlying cluster (for resource scraping).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
     /// Scrapes per-container resource metrics (the cAdvisor role) and
     /// re-publishes the application counters (the Prometheus scrape loop), so
     /// that windowed queries always find a sample even in quiet periods.
@@ -312,17 +302,13 @@ impl CaseStudyApp {
         // nginx → product (possibly through the Bifrost proxy).
         let (product_version, shadows, proxy_cost) = self.route_product(user);
         if let Some(proxy_container) = self.product_proxy_container {
-            now += self
-                .cluster
-                .network_hop(self.nginx, proxy_container, kind.request_bytes());
+            now += self.cluster.network_hop(kind.request_bytes());
             let receipt = self.cluster.execute(proxy_container, now, proxy_cost);
             now = receipt.completed;
         }
         let product_container = self.version_containers[&product_version];
         let behavior = self.version_behaviors[&product_version];
-        now += self
-            .cluster
-            .network_hop(self.nginx, product_container, kind.request_bytes());
+        now += self.cluster.network_hop(kind.request_bytes());
         let product_receipt = self.cluster.execute(
             product_container,
             now,
@@ -331,32 +317,26 @@ impl CaseStudyApp {
         now = product_receipt.completed;
 
         // product → auth (token validation) and back.
-        now += self.cluster.network_hop(product_container, self.auth, 256);
+        now += self.cluster.network_hop(256);
         let auth_receipt = self
             .cluster
             .execute(self.auth, now, self.costs.auth_demand());
         now = auth_receipt.completed;
-        now += self.cluster.network_hop(self.auth, product_container, 128);
+        now += self.cluster.network_hop(128);
 
         // product → MongoDB and back.
-        now += self
-            .cluster
-            .network_hop(product_container, self.mongo, kind.request_bytes());
+        now += self.cluster.network_hop(kind.request_bytes());
         let db_receipt = self
             .cluster
             .execute(self.mongo, now, self.costs.db_demand(kind));
         now = db_receipt.completed;
-        now += self
-            .cluster
-            .network_hop(self.mongo, product_container, kind.response_bytes() / 4);
+        now += self.cluster.network_hop(kind.response_bytes() / 4);
 
         // Search requests additionally fan out to the search service.
         if kind.touches_search() {
             let (search_version, search_shadows, search_proxy_cost) = self.route_search(user);
             if let Some(proxy_container) = self.search_proxy_container {
-                now += self
-                    .cluster
-                    .network_hop(product_container, proxy_container, 256);
+                now += self.cluster.network_hop(256);
                 let receipt = self
                     .cluster
                     .execute(proxy_container, now, search_proxy_cost);
@@ -364,9 +344,7 @@ impl CaseStudyApp {
             }
             let search_container = self.version_containers[&search_version];
             let search_behavior = self.version_behaviors[&search_version];
-            now += self
-                .cluster
-                .network_hop(product_container, search_container, 256);
+            now += self.cluster.network_hop(256);
             let search_receipt = self.cluster.execute(
                 search_container,
                 now,
@@ -374,15 +352,13 @@ impl CaseStudyApp {
             );
             now = search_receipt.completed;
             // Search hits the database too.
-            now += self.cluster.network_hop(search_container, self.mongo, 128);
+            now += self.cluster.network_hop(128);
             let db =
                 self.cluster
                     .execute(self.mongo, now, self.costs.db_demand(RequestKind::Details));
             now = db.completed;
-            now += self.cluster.network_hop(self.mongo, search_container, 1024);
-            now += self
-                .cluster
-                .network_hop(search_container, product_container, 1024);
+            now += self.cluster.network_hop(1024);
+            now += self.cluster.network_hop(1024);
             // Shadow copies of the search call (dark-launched fastSearch).
             for shadow in search_shadows {
                 self.execute_shadow_search(at, shadow);
@@ -390,9 +366,7 @@ impl CaseStudyApp {
         }
 
         // Response travels back to the client.
-        now += self
-            .cluster
-            .network_hop(product_container, self.nginx, kind.response_bytes());
+        now += self.cluster.network_hop(kind.response_bytes());
         now += self.costs.client_link();
 
         // Shadow copies of the product request (dark launch): they replay the

@@ -313,4 +313,26 @@ mod tests {
         assert_eq!(summaries.len(), 4);
         assert!(summaries.iter().all(|(_, s)| s.is_some()));
     }
+
+    #[test]
+    fn compressed_experiment_output_is_pinned() {
+        // Exact request counts and whole-run means: any change to the
+        // simulated cluster's RNG draws, costs or routing shows up here.
+        let experiment = OverheadExperiment::compressed();
+        for (variant, requests, mean_bits) in [
+            (Variant::Baseline, 3373, 0x4036_978d_9a86_a048_u64),
+            (Variant::Inactive, 3373, 0x403e_2bfd_9db4_5a82),
+            (Variant::Active, 3373, 0x4040_5531_966d_1de7),
+        ] {
+            let run = experiment.run_variant(variant);
+            assert_eq!(run.recorder.len(), requests, "{}", variant.label());
+            let mean = run.recorder.mean_ms(None).unwrap();
+            assert_eq!(
+                mean.to_bits(),
+                mean_bits,
+                "{}: mean {mean} ms",
+                variant.label()
+            );
+        }
+    }
 }

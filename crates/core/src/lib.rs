@@ -66,10 +66,7 @@ pub use error::ModelError;
 pub use ids::{CheckId, ServiceId, StateId, StrategyId, UserId, VersionId};
 pub use outcome::{CheckOutcome, OutcomeMapping, OutcomeRange, StateOutcome, Weight};
 pub use phase::{PhaseKind, PhaseSpec};
-pub use routing::{
-    DarkLaunchRoute, DynamicRoutingConfig, Percentage, RoutingMode, RoutingRule, TrafficSplit,
-    UserAssignment,
-};
+pub use routing::{DarkLaunchRoute, Percentage, RoutingMode, RoutingRule, TrafficSplit};
 pub use seed::{Seed, TrialConfig};
 pub use service::{Endpoint, Service, ServiceCatalog, ServiceVersion};
 pub use state::{State, StateBuilder};
@@ -88,10 +85,7 @@ pub mod prelude {
     pub use crate::ids::{CheckId, ServiceId, StateId, StrategyId, UserId, VersionId};
     pub use crate::outcome::{CheckOutcome, OutcomeMapping, StateOutcome, Weight};
     pub use crate::phase::{PhaseKind, PhaseSpec};
-    pub use crate::routing::{
-        DarkLaunchRoute, DynamicRoutingConfig, Percentage, RoutingMode, RoutingRule, TrafficSplit,
-        UserAssignment,
-    };
+    pub use crate::routing::{DarkLaunchRoute, Percentage, RoutingMode, RoutingRule, TrafficSplit};
     pub use crate::seed::{Seed, TrialConfig};
     pub use crate::service::{Endpoint, Service, ServiceCatalog, ServiceVersion};
     pub use crate::state::{State, StateBuilder};

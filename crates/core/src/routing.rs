@@ -1,19 +1,19 @@
-//! Dynamic routing configuration `dcᵢ = ⟨M, Γ⟩` of a service.
+//! Routing descriptions of a service's dynamic routing configuration
+//! `dcᵢ = ⟨M, Γ⟩`.
 //!
 //! The routing state of a service consists of user mappings
 //! `M = ⟨uₖ, vⱼ, sticky⟩` (which user uses which version, and whether the
 //! assignment is permanent within the current state) and dark-launch routes
 //! `Γ = ⟨v_src, v_tgt, p⟩` (from which version what share of traffic is
-//! duplicated to which shadow version). Additionally this module provides
-//! the higher-level [`TrafficSplit`] and [`RoutingRule`] descriptions that
-//! states carry in their routing configuration `Φ` and that proxies turn
-//! into concrete per-request decisions.
+//! duplicated to which shadow version). States carry the [`TrafficSplit`]
+//! and [`RoutingRule`] descriptions of this module in their routing
+//! configuration `Φ`; proxies turn them into concrete per-request decisions
+//! and keep the materialised user mappings `M` in their session store.
 
 use crate::error::ModelError;
-use crate::ids::{ServiceId, UserId, VersionId};
+use crate::ids::{ServiceId, VersionId};
 use crate::user::UserSelector;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A percentage in the inclusive range `0.0..=100.0`.
@@ -66,30 +66,6 @@ impl TryFrom<f64> for Percentage {
 
     fn try_from(value: f64) -> Result<Self, Self::Error> {
         Self::new(value)
-    }
-}
-
-/// A user-to-version assignment `⟨uₖ, vⱼ, sticky⟩`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UserAssignment {
-    /// The assigned user.
-    pub user: UserId,
-    /// The version the user is routed to.
-    pub version: VersionId,
-    /// Whether the assignment is permanent within the current state
-    /// ("sticky session"): subsequent requests by the same user must reach
-    /// the same version.
-    pub sticky: bool,
-}
-
-impl UserAssignment {
-    /// Creates an assignment.
-    pub fn new(user: UserId, version: VersionId, sticky: bool) -> Self {
-        Self {
-            user,
-            version,
-            sticky,
-        }
     }
 }
 
@@ -300,79 +276,6 @@ impl RoutingRule {
     }
 }
 
-/// The dynamic routing configuration `dcᵢ = ⟨M, Γ⟩` of one service: the
-/// materialised user assignments plus the active dark-launch routes. Proxies
-/// hold one of these per service and update it whenever the engine pushes a
-/// new state's routing rules.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DynamicRoutingConfig {
-    assignments: BTreeMap<UserId, UserAssignment>,
-    dark_launches: Vec<DarkLaunchRoute>,
-}
-
-impl DynamicRoutingConfig {
-    /// Creates an empty configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records (or replaces) a user assignment.
-    pub fn assign(&mut self, assignment: UserAssignment) {
-        self.assignments.insert(assignment.user, assignment);
-    }
-
-    /// Returns the current assignment of a user, if any.
-    pub fn assignment_of(&self, user: UserId) -> Option<&UserAssignment> {
-        self.assignments.get(&user)
-    }
-
-    /// Removes the assignment of a user (e.g. when a state ends and
-    /// non-sticky assignments are discarded).
-    pub fn unassign(&mut self, user: UserId) -> Option<UserAssignment> {
-        self.assignments.remove(&user)
-    }
-
-    /// Removes all non-sticky assignments; sticky ones survive (within the
-    /// state, a sticky user keeps its version even if traffic shares shift).
-    pub fn clear_non_sticky(&mut self) {
-        self.assignments.retain(|_, a| a.sticky);
-    }
-
-    /// Removes every assignment (used on state transitions).
-    pub fn clear(&mut self) {
-        self.assignments.clear();
-        self.dark_launches.clear();
-    }
-
-    /// Adds a dark-launch route.
-    pub fn add_dark_launch(&mut self, route: DarkLaunchRoute) {
-        self.dark_launches.push(route);
-    }
-
-    /// The active dark-launch routes.
-    pub fn dark_launches(&self) -> &[DarkLaunchRoute] {
-        &self.dark_launches
-    }
-
-    /// All current user assignments.
-    pub fn assignments(&self) -> impl Iterator<Item = &UserAssignment> {
-        self.assignments.values()
-    }
-
-    /// Number of assigned users.
-    pub fn assigned_users(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// Number of users currently assigned to `version`.
-    pub fn users_on(&self, version: VersionId) -> usize {
-        self.assignments
-            .values()
-            .filter(|a| a.version == version)
-            .count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,37 +385,5 @@ mod tests {
         };
         assert!(shadow_rule.is_shadow());
         assert_eq!(shadow_rule.versions(), vec![v1, v2]);
-    }
-
-    #[test]
-    fn dynamic_config_assignment_lifecycle() {
-        let mut config = DynamicRoutingConfig::new();
-        let u1 = UserId::new(1);
-        let u2 = UserId::new(2);
-        let v1 = VersionId::new(1);
-        let v2 = VersionId::new(2);
-
-        config.assign(UserAssignment::new(u1, v1, true));
-        config.assign(UserAssignment::new(u2, v2, false));
-        assert_eq!(config.assigned_users(), 2);
-        assert_eq!(config.users_on(v1), 1);
-        assert_eq!(config.assignment_of(u1).unwrap().version, v1);
-
-        // Reassignment replaces the old mapping (a user uses exactly one version).
-        config.assign(UserAssignment::new(u1, v2, true));
-        assert_eq!(config.users_on(v1), 0);
-        assert_eq!(config.users_on(v2), 2);
-
-        config.clear_non_sticky();
-        assert_eq!(config.assigned_users(), 1);
-        assert!(config.assignment_of(u2).is_none());
-
-        config.add_dark_launch(DarkLaunchRoute::new(v1, v2, Percentage::full()));
-        assert_eq!(config.dark_launches().len(), 1);
-
-        config.clear();
-        assert_eq!(config.assigned_users(), 0);
-        assert!(config.dark_launches().is_empty());
-        assert!(config.unassign(u1).is_none());
     }
 }

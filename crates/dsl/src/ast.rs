@@ -223,6 +223,11 @@ impl StrategyDocument {
     ///
     /// Returns a [`DslError`] for missing or ill-typed fields.
     pub fn from_yaml(yaml: &YamlValue) -> Result<Self, DslError> {
+        reject_unknown_keys(
+            yaml,
+            "strategy document",
+            &["name", "deployment", "engine", "strategy"],
+        )?;
         let name = require_str(yaml, "name", "strategy document")?;
         let deployment = match yaml.get("deployment") {
             Some(dep) => parse_deployment(dep)?,
@@ -235,6 +240,7 @@ impl StrategyDocument {
         let strategy = yaml
             .get("strategy")
             .ok_or_else(|| DslError::missing("strategy document", "strategy"))?;
+        reject_unknown_keys(strategy, "strategy section", &["phases"])?;
         let phases_yaml = strategy
             .get("phases")
             .and_then(YamlValue::as_seq)
@@ -258,6 +264,7 @@ impl StrategyDocument {
 }
 
 fn parse_deployment(yaml: &YamlValue) -> Result<DeploymentDoc, DslError> {
+    reject_unknown_keys(yaml, "deployment section", &["services"])?;
     let services_yaml = yaml
         .get("services")
         .and_then(YamlValue::as_seq)
@@ -265,26 +272,23 @@ fn parse_deployment(yaml: &YamlValue) -> Result<DeploymentDoc, DslError> {
     let mut services = Vec::with_capacity(services_yaml.len());
     for service in services_yaml {
         let name = require_str(service, "service", "deployment service")?;
-        let proxy = service.get("proxy").and_then(YamlValue::scalar_to_string);
+        let context = format!("service '{name}'");
+        reject_unknown_keys(service, &context, &["service", "proxy", "versions"])?;
+        let proxy = optional_str(service, "proxy", &context)?;
         let versions_yaml = service
             .get("versions")
             .and_then(YamlValue::as_seq)
-            .ok_or_else(|| DslError::missing(format!("service '{name}'"), "versions"))?;
+            .ok_or_else(|| DslError::missing(&context, "versions"))?;
         let mut versions = Vec::with_capacity(versions_yaml.len());
         for version in versions_yaml {
-            let vname = require_str(version, "name", &format!("version of service '{name}'"))?;
-            let host = require_str(version, "host", &format!("version '{vname}'"))?;
-            let port = version
-                .get("port")
-                .and_then(YamlValue::as_i64)
-                .unwrap_or(80);
-            let port = u16::try_from(port).map_err(|_| {
-                DslError::invalid(format!("version '{vname}'"), "port", "must fit in a u16")
-            })?;
-            let labels = version
-                .get("labels")
-                .map(YamlValue::to_string_map)
-                .unwrap_or_default();
+            let vname = require_str(version, "name", &format!("version of {context}"))?;
+            let vcontext = format!("version '{vname}'");
+            reject_unknown_keys(version, &vcontext, &["name", "host", "port", "labels"])?;
+            let host = require_str(version, "host", &vcontext)?;
+            let port = optional_i64(version, "port", &vcontext)?.unwrap_or(80);
+            let port = u16::try_from(port)
+                .map_err(|_| DslError::invalid(&vcontext, "port", "must fit in a u16"))?;
+            let labels = optional_str_map(version, "labels", &vcontext)?;
             versions.push(VersionDoc {
                 name: vname,
                 host,
@@ -405,7 +409,7 @@ fn parse_backend(yaml: &YamlValue) -> Result<BackendDoc, DslError> {
             })?,
     };
     Ok(BackendDoc {
-        service: yaml.get("service").and_then(YamlValue::scalar_to_string),
+        service: optional_str(yaml, "service", &context)?,
         version,
         service_time_ms: bounded_ms("service_time_ms", 10)?,
         error_rate,
@@ -420,29 +424,54 @@ fn parse_phase(yaml: &YamlValue) -> Result<PhaseDoc, DslError> {
     let phase_type = PhaseType::parse(&type_text).ok_or_else(|| {
         DslError::invalid("phase", "phase", format!("unknown type '{type_text}'"))
     })?;
-    let name = yaml
-        .get("name")
-        .and_then(YamlValue::scalar_to_string)
-        .unwrap_or_else(|| type_text.clone());
+    let name = optional_str(yaml, "name", "phase")?.unwrap_or_else(|| type_text.clone());
     let context = format!("phase '{name}'");
-    let service = require_str(yaml, "service", &context)?;
 
     // Version references have per-type aliases mirroring the paper's route
-    // directive (from/to) and A/B terminology.
-    let (stable_keys, candidate_keys): (&[&str], &[&str]) = match phase_type {
-        PhaseType::Canary | PhaseType::GradualRollout => {
-            (&["stable", "from"], &["candidate", "canary", "to"])
-        }
+    // directive (from/to) and A/B terminology; the traffic keys depend on
+    // the type too.
+    let (stable_keys, candidate_keys, traffic_keys): (&[&str], &[&str], &[&str]) = match phase_type
+    {
+        PhaseType::Canary => (
+            &["stable", "from"],
+            &["candidate", "canary", "to"],
+            &["traffic"],
+        ),
+        PhaseType::GradualRollout => (
+            &["stable", "from"],
+            &["candidate", "canary", "to"],
+            &["from_traffic", "to_traffic", "step", "step_duration"],
+        ),
         PhaseType::DarkLaunch => (
             &["from", "stable", "source"],
             &["to", "shadow", "candidate"],
+            &["traffic"],
         ),
-        PhaseType::AbTest => (&["a", "stable"], &["b", "candidate"]),
+        PhaseType::AbTest => (&["a", "stable"], &["b", "candidate"], &[]),
     };
-    let stable =
-        first_str(yaml, stable_keys).ok_or_else(|| DslError::missing(&context, stable_keys[0]))?;
-    let candidate = first_str(yaml, candidate_keys)
-        .ok_or_else(|| DslError::missing(&context, candidate_keys[0]))?;
+    let common_keys = [
+        "phase",
+        "name",
+        "service",
+        "duration",
+        "sticky",
+        "user_filter",
+        "user_percentage",
+        "routing",
+        "checks",
+    ];
+    let known: Vec<&str> = common_keys
+        .iter()
+        .chain(stable_keys)
+        .chain(candidate_keys)
+        .chain(traffic_keys)
+        .copied()
+        .collect();
+    reject_unknown_keys(yaml, &context, &known)?;
+
+    let service = require_str(yaml, "service", &context)?;
+    let stable = require_str(yaml, first_key(yaml, stable_keys), &context)?;
+    let candidate = require_str(yaml, first_key(yaml, candidate_keys), &context)?;
 
     let checks = match yaml.get("checks") {
         None => Vec::new(),
@@ -462,89 +491,103 @@ fn parse_phase(yaml: &YamlValue) -> Result<PhaseDoc, DslError> {
         service,
         stable,
         candidate,
-        traffic: yaml.get("traffic").and_then(YamlValue::as_f64),
-        duration_secs: get_u64(yaml, "duration"),
-        from_traffic: yaml.get("from_traffic").and_then(YamlValue::as_f64),
-        to_traffic: yaml.get("to_traffic").and_then(YamlValue::as_f64),
-        step: yaml.get("step").and_then(YamlValue::as_f64),
-        step_duration_secs: get_u64(yaml, "step_duration"),
-        sticky: yaml.get("sticky").and_then(YamlValue::as_bool),
-        user_filter: yaml
-            .get("user_filter")
-            .map(YamlValue::to_string_map)
-            .unwrap_or_default(),
-        user_percentage: yaml.get("user_percentage").and_then(YamlValue::as_f64),
-        routing: yaml.get("routing").and_then(YamlValue::scalar_to_string),
+        traffic: optional_f64(yaml, "traffic", &context)?,
+        duration_secs: optional_u64(yaml, "duration", &context)?,
+        from_traffic: optional_f64(yaml, "from_traffic", &context)?,
+        to_traffic: optional_f64(yaml, "to_traffic", &context)?,
+        step: optional_f64(yaml, "step", &context)?,
+        step_duration_secs: optional_u64(yaml, "step_duration", &context)?,
+        sticky: optional_bool(yaml, "sticky", &context)?,
+        user_filter: optional_str_map(yaml, "user_filter", &context)?,
+        user_percentage: optional_f64(yaml, "user_percentage", &context)?,
+        routing: optional_str(yaml, "routing", &context)?,
         checks,
     })
 }
 
+/// Keys every check body may carry, whichever form its query takes.
+const CHECK_KEYS: [&str; 9] = [
+    "name",
+    "intervalTime",
+    "interval",
+    "intervalLimit",
+    "executions",
+    "threshold",
+    "validator",
+    "weight",
+    "exception",
+];
+/// Keys of the flat, single-query check form (`query:` instead of
+/// `providers:`).
+const FLAT_QUERY_KEYS: [&str; 4] = ["provider", "query", "aggregation", "window"];
+/// Keys of one provider's entry under `providers:`.
+const PROVIDER_KEYS: [&str; 4] = ["name", "query", "aggregation", "window"];
+
 fn parse_check(yaml: &YamlValue, phase_context: &str) -> Result<CheckDoc, DslError> {
     // Accept both the paper's `- metric:` wrapper and a flat `- name:` form.
-    let body = yaml.get("metric").or(yaml.get("check")).unwrap_or(yaml);
-    let name = body
-        .get("name")
-        .and_then(YamlValue::scalar_to_string)
+    let wrapper = ["metric", "check"]
+        .into_iter()
+        .find(|key| yaml.get(key).is_some());
+    let body = wrapper.and_then(|key| yaml.get(key)).unwrap_or(yaml);
+    let name = optional_str(body, "name", &format!("{phase_context} check"))?
         .unwrap_or_else(|| "check".to_string());
     let context = format!("{phase_context} check '{name}'");
+    if let Some(key) = wrapper {
+        reject_unknown_keys(yaml, &context, &[key])?;
+    }
+
+    let query_keys: &[&str] = match body.get("providers") {
+        Some(_) => &["providers"],
+        None => &FLAT_QUERY_KEYS,
+    };
+    let known: Vec<&str> = CHECK_KEYS.iter().chain(query_keys).copied().collect();
+    reject_unknown_keys(body, &context, &known)?;
 
     let mut metrics = Vec::new();
-    if let Some(providers) = body.get("providers").and_then(YamlValue::as_seq) {
+    if let Some(providers) = body.get("providers") {
+        let providers = providers
+            .as_seq()
+            .ok_or_else(|| DslError::invalid(&context, "providers", "must be a sequence"))?;
         for provider_entry in providers {
             let entries = provider_entry.as_map().ok_or_else(|| {
                 DslError::invalid(&context, "providers", "each entry must be a mapping")
             })?;
             for (provider_name, details) in entries {
-                let metric_name = details
-                    .get("name")
-                    .and_then(YamlValue::scalar_to_string)
-                    .unwrap_or_else(|| name.clone());
-                let query = details
-                    .get("query")
-                    .and_then(YamlValue::scalar_to_string)
+                let provider_context = format!("{context} provider '{provider_name}'");
+                reject_unknown_keys(details, &provider_context, &PROVIDER_KEYS)?;
+                let query = optional_str(details, "query", &provider_context)?
                     .ok_or_else(|| DslError::missing(&context, "query"))?;
                 metrics.push(MetricDoc {
                     provider: provider_name.clone(),
-                    name: metric_name,
+                    name: optional_str(details, "name", &provider_context)?
+                        .unwrap_or_else(|| name.clone()),
                     query,
-                    aggregation: details
-                        .get("aggregation")
-                        .and_then(YamlValue::scalar_to_string),
-                    window: details
-                        .get("window")
-                        .and_then(YamlValue::as_i64)
-                        .map(|v| v.max(0) as u64),
+                    aggregation: optional_str(details, "aggregation", &provider_context)?,
+                    window: optional_u64(details, "window", &provider_context)?,
                 });
             }
         }
-    } else if let Some(query) = body.get("query").and_then(YamlValue::scalar_to_string) {
+    } else if let Some(query) = optional_str(body, "query", &context)? {
         metrics.push(MetricDoc {
-            provider: body
-                .get("provider")
-                .and_then(YamlValue::scalar_to_string)
+            provider: optional_str(body, "provider", &context)?
                 .unwrap_or_else(|| "prometheus".to_string()),
             name: name.clone(),
             query,
-            aggregation: body
-                .get("aggregation")
-                .and_then(YamlValue::scalar_to_string),
-            window: body
-                .get("window")
-                .and_then(YamlValue::as_i64)
-                .map(|v| v.max(0) as u64),
+            aggregation: optional_str(body, "aggregation", &context)?,
+            window: optional_u64(body, "window", &context)?,
         });
     }
     if metrics.is_empty() {
         return Err(DslError::missing(&context, "providers/query"));
     }
 
-    let interval_secs = get_u64_any(body, &["intervalTime", "interval"])
-        .ok_or_else(|| DslError::missing(&context, "intervalTime"))?;
-    let executions = get_u64_any(body, &["intervalLimit", "executions"])
-        .ok_or_else(|| DslError::missing(&context, "intervalLimit"))? as u32;
-    let validator = body
-        .get("validator")
-        .and_then(YamlValue::scalar_to_string)
+    let interval_key = first_key(body, &["intervalTime", "interval"]);
+    let interval_secs = optional_u64(body, interval_key, &context)?
+        .ok_or_else(|| DslError::missing(&context, interval_key))?;
+    let executions_key = first_key(body, &["intervalLimit", "executions"]);
+    let executions = optional_u64(body, executions_key, &context)?
+        .ok_or_else(|| DslError::missing(&context, executions_key))? as u32;
+    let validator = optional_str(body, "validator", &context)?
         .ok_or_else(|| DslError::missing(&context, "validator"))?;
 
     Ok(CheckDoc {
@@ -552,13 +595,10 @@ fn parse_check(yaml: &YamlValue, phase_context: &str) -> Result<CheckDoc, DslErr
         metrics,
         interval_secs,
         executions,
-        threshold: body.get("threshold").and_then(YamlValue::as_i64),
+        threshold: optional_i64(body, "threshold", &context)?,
         validator,
-        weight: body.get("weight").and_then(YamlValue::as_f64),
-        exception: body
-            .get("exception")
-            .and_then(YamlValue::as_bool)
-            .unwrap_or(false),
+        weight: optional_f64(body, "weight", &context)?,
+        exception: optional_bool(body, "exception", &context)?.unwrap_or(false),
     })
 }
 
@@ -580,24 +620,82 @@ fn reject_unknown_keys(yaml: &YamlValue, context: &str, known: &[&str]) -> Resul
 }
 
 fn require_str(yaml: &YamlValue, field: &str, context: &str) -> Result<String, DslError> {
-    yaml.get(field)
-        .and_then(YamlValue::scalar_to_string)
-        .ok_or_else(|| DslError::missing(context, field))
+    optional_str(yaml, field, context)?.ok_or_else(|| DslError::missing(context, field))
 }
 
-fn first_str(yaml: &YamlValue, keys: &[&str]) -> Option<String> {
+/// The value of an optional `field`, converted by `convert`. A value of the
+/// wrong type is an error naming the field and the `expected` type, not a
+/// silent default.
+fn optional<T>(
+    yaml: &YamlValue,
+    field: &str,
+    context: &str,
+    expected: &str,
+    convert: impl Fn(&YamlValue) -> Option<T>,
+) -> Result<Option<T>, DslError> {
+    yaml.get(field)
+        .map(|value| {
+            convert(value)
+                .ok_or_else(|| DslError::invalid(context, field, format!("must be {expected}")))
+        })
+        .transpose()
+}
+
+fn optional_str(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<String>, DslError> {
+    optional(
+        yaml,
+        field,
+        context,
+        "a scalar",
+        YamlValue::scalar_to_string,
+    )
+}
+
+fn optional_f64(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<f64>, DslError> {
+    optional(yaml, field, context, "a number", YamlValue::as_f64)
+}
+
+fn optional_i64(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<i64>, DslError> {
+    optional(yaml, field, context, "an integer", YamlValue::as_i64)
+}
+
+fn optional_bool(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<bool>, DslError> {
+    optional(yaml, field, context, "true or false", YamlValue::as_bool)
+}
+
+/// An optional integer field; negative values clamp to zero.
+fn optional_u64(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<u64>, DslError> {
+    optional(yaml, field, context, "an integer", |value| {
+        value.as_i64().map(|v| v.max(0) as u64)
+    })
+}
+
+/// An optional mapping of scalar values (absent: empty).
+fn optional_str_map(
+    yaml: &YamlValue,
+    field: &str,
+    context: &str,
+) -> Result<BTreeMap<String, String>, DslError> {
+    let is_scalar_map = |value: &YamlValue| {
+        value
+            .as_map()
+            .is_some_and(|entries| entries.iter().all(|(_, v)| v.scalar_to_string().is_some()))
+    };
+    Ok(
+        optional(yaml, field, context, "a mapping of scalars", |value| {
+            is_scalar_map(value).then(|| value.to_string_map())
+        })?
+        .unwrap_or_default(),
+    )
+}
+
+/// The first of `keys` (aliases of one field) present in `yaml`, or the
+/// first alias when none is.
+fn first_key<'k>(yaml: &YamlValue, keys: &[&'k str]) -> &'k str {
     keys.iter()
-        .find_map(|key| yaml.get(key).and_then(YamlValue::scalar_to_string))
-}
-
-fn get_u64(yaml: &YamlValue, field: &str) -> Option<u64> {
-    yaml.get(field)
-        .and_then(YamlValue::as_i64)
-        .map(|v| v.max(0) as u64)
-}
-
-fn get_u64_any(yaml: &YamlValue, fields: &[&str]) -> Option<u64> {
-    fields.iter().find_map(|f| get_u64(yaml, f))
+        .copied()
+        .find(|key| yaml.get(key).is_some())
+        .unwrap_or(keys[0])
 }
 
 #[cfg(test)]
@@ -823,6 +921,106 @@ strategy:
             let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
             assert!(err.to_string().contains("session_shards"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn misspelt_and_mistyped_keys_are_rejected() {
+        // Each typo used to parse: the canary silently became a 30 s, 5%
+        // phase whose check threshold was all executions.
+        for (phase_line, check_line, field) in [
+            ("traffic: fifty", "threshold: 1", "traffic"),
+            ("durration: 600", "threshold: 1", "durration"),
+            ("traffic: 50", "treshold: 1", "treshold"),
+        ] {
+            let source = format!(
+                "name: x\nstrategy:\n  phases:\n    - phase: canary\n      service: s\n      stable: a\n      candidate: b\n      {phase_line}\n      checks:\n        - metric:\n            name: errors\n            query: request_errors\n            intervalTime: 5\n            intervalLimit: 3\n            {check_line}\n            validator: \"<5\"\n"
+            );
+            let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, DslError::InvalidField { field: f, .. } if f == field),
+                "{phase_line} / {check_line}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_at_every_level() {
+        let base = "name: x\ndeployment:\n  services:\n    - service: s\n      versions:\n        - name: a\n          host: h\nstrategy:\n  phases:\n    - phase: ab_test\n      service: s\n      a: a\n      b: b\n      checks:\n        - name: c\n          providers:\n            - prometheus:\n                query: q\n          interval: 5\n          executions: 1\n          validator: \">0\"\n";
+        StrategyDocument::from_yaml(&yaml::parse(base).unwrap()).unwrap();
+        let cases = [
+            ("name: x\n", "name: x\nversion: 2\n", "version"),
+            ("  services:\n", "  sevices: []\n  services:\n", "sevices"),
+            (
+                "      versions:\n",
+                "      proxies: p\n      versions:\n",
+                "proxies",
+            ),
+            (
+                "          host: h\n",
+                "          host: h\n          hots: h\n",
+                "hots",
+            ),
+            ("  phases:\n", "  rollback: now\n  phases:\n", "rollback"),
+            // An A/B test takes neither another type's aliases nor a share.
+            ("      b: b\n", "      b: b\n      shadow: b\n", "shadow"),
+            ("      b: b\n", "      b: b\n      traffic: 5\n", "traffic"),
+            (
+                "          interval: 5\n",
+                "          intervall: 5\n",
+                "intervall",
+            ),
+            (
+                "          interval: 5\n",
+                "          interval: 5\n          query: q\n",
+                "query",
+            ),
+            (
+                "                query: q\n",
+                "                query: q\n                windw: 9\n",
+                "windw",
+            ),
+            (
+                "          executions: 1\n",
+                "          executions: one\n",
+                "executions",
+            ),
+            (
+                "          executions: 1\n",
+                "          executions: 1\n          exception: maybe\n",
+                "exception",
+            ),
+            (
+                "          host: h\n",
+                "          host: h\n          port: http\n",
+                "port",
+            ),
+            (
+                "          host: h\n",
+                "          host: h\n          labels: [a]\n",
+                "labels",
+            ),
+        ];
+        for (from, to, field) in cases {
+            assert!(base.contains(from), "{from}");
+            let source = base.replacen(from, to, 1);
+            let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, DslError::InvalidField { field: f, .. } if f == field),
+                "{to}: {err}"
+            );
+        }
+        // A `metric:` wrapper holds the whole check: a key beside it is
+        // unknown.
+        let checks_at = base.find("        - name: c").unwrap();
+        let wrapped = format!(
+            "{}        - metric:\n            name: c\n            query: q\n            interval: 5\n            executions: 1\n            validator: \">0\"\n          weight: 2\n",
+            &base[..checks_at]
+        );
+        let err = StrategyDocument::from_yaml(&yaml::parse(&wrapped).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, DslError::InvalidField { field, .. } if field == "weight"),
+            "{err}"
+        );
     }
 
     #[test]

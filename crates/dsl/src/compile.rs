@@ -10,6 +10,7 @@ use bifrost_core::service::{Endpoint, Service, ServiceCatalog, ServiceVersion};
 use bifrost_core::strategy::{Strategy, StrategyBuilder};
 use bifrost_core::timer::Timer;
 use bifrost_core::user::UserSelector;
+use bifrost_metrics::RangeQuery;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -169,11 +170,11 @@ fn compile_check(doc: &CheckDoc, phase_context: &str) -> Result<PhaseCheck, DslE
         .map_err(|e| DslError::invalid(&context, "validator", e.to_string()))?;
     let mut queries = Vec::with_capacity(doc.metrics.len());
     for metric in &doc.metrics {
-        let selector = bifrost_metrics_selector(&metric.query)
+        let selector = RangeQuery::parse_selector(&metric.query)
             .map_err(|message| DslError::invalid(&context, "query", message))?;
-        let mut query = MetricQuery::new(&metric.provider, &metric.name, selector.0);
-        for (key, value) in selector.1 {
-            query = query.with_label(key, value);
+        let mut query = MetricQuery::new(&metric.provider, &metric.name, selector.metric());
+        for matcher in selector.matchers() {
+            query = query.with_label(matcher.key(), matcher.value());
         }
         if let Some(window) = metric.window {
             query = query.with_window_secs(window);
@@ -204,37 +205,6 @@ fn compile_check(doc: &CheckDoc, phase_context: &str) -> Result<PhaseCheck, DslE
         );
     }
     Ok(check)
-}
-
-/// Splits a Prometheus-style selector `metric{label="value",…}` into the
-/// metric name and its label pairs without depending on `bifrost-metrics`.
-fn bifrost_metrics_selector(selector: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let selector = selector.trim();
-    let Some(brace) = selector.find('{') else {
-        if selector.is_empty() {
-            return Err("empty query".to_string());
-        }
-        return Ok((selector.to_string(), Vec::new()));
-    };
-    let name = selector[..brace].trim();
-    if name.is_empty() {
-        return Err(format!("query '{selector}' has an empty metric name"));
-    }
-    let rest = &selector[brace + 1..];
-    let Some(end) = rest.rfind('}') else {
-        return Err(format!("query '{selector}' is missing a closing brace"));
-    };
-    let mut labels = Vec::new();
-    for pair in rest[..end].split(',').filter(|p| !p.trim().is_empty()) {
-        let (key, value) = pair
-            .split_once('=')
-            .ok_or_else(|| format!("label pair '{pair}' is missing '='"))?;
-        labels.push((
-            key.trim().to_string(),
-            value.trim().trim_matches('"').to_string(),
-        ));
-    }
-    Ok((name.to_string(), labels))
 }
 
 fn parse_aggregation(text: &str, context: &str) -> Result<QueryAggregation, DslError> {
@@ -519,24 +489,6 @@ strategy:
             },
             _ => panic!("expected split"),
         }
-    }
-
-    #[test]
-    fn selector_helper_parses_queries() {
-        let (name, labels) =
-            bifrost_metrics_selector("request_errors{instance=\"search:80\"}").unwrap();
-        assert_eq!(name, "request_errors");
-        assert_eq!(
-            labels,
-            vec![("instance".to_string(), "search:80".to_string())]
-        );
-        let (name, labels) = bifrost_metrics_selector("up").unwrap();
-        assert_eq!(name, "up");
-        assert!(labels.is_empty());
-        assert!(bifrost_metrics_selector("").is_err());
-        assert!(bifrost_metrics_selector("{x=\"1\"}").is_err());
-        assert!(bifrost_metrics_selector("m{x=\"1\"").is_err());
-        assert!(bifrost_metrics_selector("m{x}").is_err());
     }
 
     #[test]

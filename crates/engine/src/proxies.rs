@@ -120,19 +120,6 @@ impl ProxyFleet {
         }
         updated
     }
-
-    /// Resets every proxy back to its inactive (default-route) configuration,
-    /// used when a strategy completes and Bifrost "can be removed".
-    pub fn reset_all(&mut self) {
-        for (service, handle) in &self.proxies {
-            let default = self.defaults[service];
-            let revision = self.revisions.entry(*service).or_insert(0);
-            *revision += 1;
-            handle
-                .write()
-                .apply_config(ProxyConfig::new(*service, default).with_revision(*revision));
-        }
-    }
 }
 
 impl fmt::Debug for ProxyFleet {
@@ -244,16 +231,19 @@ mod tests {
 
     #[test]
     fn reset_restores_default_routing() {
+        // A rollback state's all-to-stable rule is what returns a proxy to
+        // the default version once a strategy gives up on the canary.
         let (service, stable, canary) = ids();
         let mut fleet = ProxyFleet::new();
         let handle = fleet.register(service, stable);
-        fleet.apply_rules(&[RoutingRule::Split {
+        let all_to = |version| RoutingRule::Split {
             service,
-            split: TrafficSplit::all_to(canary),
+            split: TrafficSplit::all_to(version),
             sticky: false,
             selector: UserSelector::All,
             mode: RoutingMode::CookieBased,
-        }]);
+        };
+        fleet.apply_rules(&[all_to(canary)]);
         assert_eq!(
             handle
                 .write()
@@ -261,8 +251,8 @@ mod tests {
                 .primary,
             canary
         );
-        fleet.reset_all();
-        assert!(!handle.read().is_active());
+        assert_eq!(fleet.apply_rules(&[all_to(stable)]), vec![(service, 2)]);
+        assert_eq!(handle.read().config().revision(), 2);
         assert_eq!(
             handle
                 .write()

@@ -114,7 +114,6 @@ pub struct TrafficProfile {
     service_label: String,
     backends: BTreeMap<VersionId, BackendModel>,
     version_labels: BTreeMap<VersionId, String>,
-    default_backend: BackendModel,
 }
 
 impl TrafficProfile {
@@ -129,7 +128,6 @@ impl TrafficProfile {
             service_label: format!("{service}"),
             backends: BTreeMap::new(),
             version_labels: BTreeMap::new(),
-            default_backend: BackendModel::Profile(BackendProfile::default()),
         }
     }
 
@@ -183,19 +181,6 @@ impl TrafficProfile {
         self
     }
 
-    /// Overrides the backend used for versions without an explicit profile
-    /// (builder style).
-    pub fn with_default_backend(mut self, backend: BackendProfile) -> Self {
-        self.default_backend = BackendModel::Profile(backend);
-        self
-    }
-
-    /// Overrides the default backend with a queued server (builder style).
-    pub fn with_default_queued_backend(mut self, backend: QueuedBackend) -> Self {
-        self.default_backend = BackendModel::Queued(backend);
-        self
-    }
-
     /// The service whose proxy the traffic flows through.
     pub fn service(&self) -> ServiceId {
         self.service
@@ -211,13 +196,13 @@ impl TrafficProfile {
         self.tick
     }
 
-    /// The backend model of `version` (the default model when the profile
-    /// did not name it explicitly).
+    /// The backend model of `version`: the default unlimited-capacity
+    /// [`BackendProfile`] when the profile did not name it explicitly.
     pub fn backend_of(&self, version: VersionId) -> BackendModel {
         self.backends
             .get(&version)
             .copied()
-            .unwrap_or(self.default_backend)
+            .unwrap_or(BackendModel::Profile(BackendProfile::default()))
     }
 }
 
@@ -644,8 +629,7 @@ mod tests {
                     q,
                     "v2",
                     QueuedBackend::new(Duration::from_millis(7)).with_replicas(3),
-                )
-                .with_default_backend(BackendProfile::healthy(Duration::from_millis(9)));
+                );
         assert_eq!(profile.service(), service);
         assert_eq!(profile.tick(), Duration::from_millis(500));
         assert_eq!(
@@ -657,8 +641,8 @@ mod tests {
             BackendModel::Queued(queued) if queued.replicas == 3
         ));
         assert_eq!(
-            profile.backend_of(VersionId::new(9)).service_time(),
-            Duration::from_millis(9)
+            profile.backend_of(VersionId::new(9)),
+            BackendModel::Profile(BackendProfile::default())
         );
     }
 

@@ -3,8 +3,7 @@
 //! The monitoring-data substrate (`Ω` in the formal model) of the Bifrost
 //! reproduction: an in-process time-series store with a Prometheus-flavoured
 //! query interface, a provider registry the engine resolves check queries
-//! against, a cAdvisor-like resource collector, and summary statistics used
-//! by the evaluation harness.
+//! against, and summary statistics used by the evaluation harness.
 //!
 //! The paper's prototype queries Prometheus (fed by cAdvisor and the
 //! application services). This crate substitutes that external dependency
@@ -32,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod collector;
 pub mod provider;
 pub mod query;
 pub mod sample;
@@ -42,7 +40,6 @@ pub mod stats;
 pub mod store;
 pub mod traffic;
 
-pub use collector::{ResourceCollector, ResourceSample};
 pub use provider::{MetricsProvider, ProviderRegistry, StoreProvider};
 pub use query::{Aggregation, LabelMatcher, RangeQuery};
 pub use sample::{Labels, Sample, SeriesKey, TimestampMs};
@@ -57,7 +54,6 @@ pub use traffic::TrafficSeriesRecorder;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::collector::{ResourceCollector, ResourceSample};
     pub use crate::provider::{MetricsProvider, ProviderRegistry, StoreProvider};
     pub use crate::query::{Aggregation, LabelMatcher, RangeQuery};
     pub use crate::sample::{Labels, Sample, SeriesKey, TimestampMs};

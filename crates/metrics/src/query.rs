@@ -289,6 +289,7 @@ mod tests {
 
     #[test]
     fn parse_selector_rejects_malformed_input() {
+        assert!(RangeQuery::parse_selector("").is_err());
         assert!(RangeQuery::parse_selector("m{a=\"1\"").is_err());
         assert!(RangeQuery::parse_selector("{a=\"1\"}").is_err());
         assert!(RangeQuery::parse_selector("m{a}").is_err());
