@@ -1,8 +1,7 @@
 //! # bifrost-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation section, plus helpers shared by the Criterion
-//! benchmarks and the `experiments` binary.
+//! paper's evaluation section, driven by the `experiments` binary.
 //!
 //! | Paper artifact | Harness |
 //! |---|---|

@@ -182,12 +182,6 @@ impl OverheadExperiment {
         self
     }
 
-    /// Overrides the load profile (builder style).
-    pub fn with_load(mut self, load: LoadProfile) -> Self {
-        self.load = load;
-        self
-    }
-
     /// The phase plan in use.
     pub fn plan(&self) -> &PhasePlan {
         &self.plan

@@ -38,8 +38,6 @@ pub enum Validator {
         /// Allowed absolute deviation.
         tolerance: f64,
     },
-    /// Metric must lie within the inclusive range.
-    Between(f64, f64),
 }
 
 impl Validator {
@@ -55,7 +53,6 @@ impl Validator {
                 value: expected,
                 tolerance,
             } => (value - expected).abs() <= tolerance,
-            Validator::Between(lo, hi) => value >= lo && value <= hi,
         }
     }
 
@@ -107,7 +104,6 @@ impl fmt::Display for Validator {
             Validator::GreaterThan(b) => write!(f, "> {b}"),
             Validator::GreaterOrEqual(b) => write!(f, ">= {b}"),
             Validator::Equals { value, .. } => write!(f, "= {value}"),
-            Validator::Between(lo, hi) => write!(f, "in [{lo}, {hi}]"),
         }
     }
 }
@@ -223,12 +219,11 @@ impl MetricQuery {
 /// turn them into a 0/1 result.
 ///
 /// The common case ties one query to one validator, but a check may fetch
-/// several metrics and require all (or any) of the validators to pass, which
-/// covers cross-version comparisons used for A/B test evaluation.
+/// several metrics and require all of the validators to pass, which covers
+/// cross-version comparisons used for A/B test evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckSpec {
     queries: Vec<(MetricQuery, Validator)>,
-    require_all: bool,
 }
 
 impl CheckSpec {
@@ -236,24 +231,12 @@ impl CheckSpec {
     pub fn single(query: MetricQuery, validator: Validator) -> Self {
         Self {
             queries: vec![(query, validator)],
-            require_all: true,
         }
     }
 
     /// A spec whose execution succeeds only if **all** validators pass.
     pub fn all_of(queries: Vec<(MetricQuery, Validator)>) -> Self {
-        Self {
-            queries,
-            require_all: true,
-        }
-    }
-
-    /// A spec whose execution succeeds if **any** validator passes.
-    pub fn any_of(queries: Vec<(MetricQuery, Validator)>) -> Self {
-        Self {
-            queries,
-            require_all: false,
-        }
+        Self { queries }
     }
 
     /// The metric queries and their validators.
@@ -261,26 +244,15 @@ impl CheckSpec {
         &self.queries
     }
 
-    /// Whether all validators must pass (vs any).
-    pub fn requires_all(&self) -> bool {
-        self.require_all
-    }
-
     /// Evaluates the spec against already-fetched metric values, keyed by the
     /// query's exposed [`MetricQuery::name`]. Missing values count as a
     /// failing validator.
     pub fn evaluate(&self, values: &BTreeMap<String, f64>) -> bool {
-        let mut results = self.queries.iter().map(|(query, validator)| {
+        self.queries.iter().all(|(query, validator)| {
             values
                 .get(query.name())
-                .map(|v| validator.evaluate(*v))
-                .unwrap_or(false)
-        });
-        if self.require_all {
-            results.all(|r| r)
-        } else {
-            results.any(|r| r)
-        }
+                .is_some_and(|v| validator.evaluate(*v))
+        })
     }
 }
 
@@ -440,8 +412,6 @@ mod tests {
             tolerance: 0.01
         }
         .evaluate(3.5));
-        assert!(Validator::Between(1.0, 2.0).evaluate(1.5));
-        assert!(!Validator::Between(1.0, 2.0).evaluate(2.5));
     }
 
     #[test]
@@ -478,7 +448,7 @@ mod tests {
     #[test]
     fn validator_display() {
         assert_eq!(Validator::LessThan(5.0).to_string(), "< 5");
-        assert_eq!(Validator::Between(1.0, 2.0).to_string(), "in [1, 2]");
+        assert_eq!(Validator::GreaterOrEqual(2.5).to_string(), ">= 2.5");
     }
 
     #[test]
@@ -509,24 +479,23 @@ mod tests {
     }
 
     #[test]
-    fn check_spec_all_vs_any() {
-        let q1 = MetricQuery::new("prometheus", "a", "metric_a");
-        let q2 = MetricQuery::new("prometheus", "b", "metric_b");
+    fn check_spec_all_of_requires_every_validator() {
         let all = CheckSpec::all_of(vec![
-            (q1.clone(), Validator::LessThan(5.0)),
-            (q2.clone(), Validator::LessThan(5.0)),
-        ]);
-        let any = CheckSpec::any_of(vec![
-            (q1, Validator::LessThan(5.0)),
-            (q2, Validator::LessThan(5.0)),
+            (
+                MetricQuery::new("prometheus", "a", "metric_a"),
+                Validator::LessThan(5.0),
+            ),
+            (
+                MetricQuery::new("prometheus", "b", "metric_b"),
+                Validator::LessThan(5.0),
+            ),
         ]);
         let mut values = BTreeMap::new();
         values.insert("a".to_string(), 1.0);
         values.insert("b".to_string(), 10.0);
         assert!(!all.evaluate(&values));
-        assert!(any.evaluate(&values));
-        assert!(all.requires_all());
-        assert!(!any.requires_all());
+        values.insert("b".to_string(), 2.0);
+        assert!(all.evaluate(&values));
     }
 
     #[test]

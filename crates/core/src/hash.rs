@@ -41,6 +41,15 @@ pub fn mix_unit(bits: u64) -> f64 {
     (mix64(bits.wrapping_add(GOLDEN_GAMMA)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// FNV-1a over `bytes`: a stable 64-bit hash of short names, used to derive
+/// seeds from labels (seed streams, proxy names).
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Folds a 128-bit identity (e.g. a session token) into 64 mixed bits.
 #[inline]
 #[must_use]
@@ -68,6 +77,14 @@ mod tests {
         assert!(draws.iter().all(|d| (0.0..1.0).contains(d)));
         let mean = draws.iter().sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! [`TrialConfig`] bundles the base seed with a trial's index; it is the
 //! value the `bifrost-bench` trial runner passes to each trial closure.
 
+use crate::hash;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -45,12 +46,7 @@ impl Seed {
     /// consume identical random sequences. Uses FNV-1a over the label,
     /// folded into the seed.
     pub fn stream(self, label: &str) -> Seed {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in label.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Seed(self.0 ^ hash)
+        Seed(self.0 ^ hash::fnv1a(label.as_bytes()))
     }
 }
 
@@ -115,6 +111,19 @@ impl fmt::Display for TrialConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_seeds_are_pinned() {
+        assert_eq!(Seed::new(0).stream("").value(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(
+            Seed::new(7).stream("workload").value(),
+            0x5e9e_5100_67ad_e45b
+        );
+        assert_eq!(
+            Seed::new(7).stream("latency-jitter").value(),
+            0x25a2_b5aa_66f3_74cd
+        );
+    }
 
     #[test]
     fn trial_seeds_are_base_plus_index() {

@@ -7,6 +7,7 @@
 //! thereof, which covers the selection approaches used by the paper's running
 //! example and by Facebook's Configurator.
 
+use crate::hash::{mix64, GOLDEN_GAMMA};
 use crate::ids::UserId;
 use crate::routing::Percentage;
 use rand::rngs::StdRng;
@@ -103,10 +104,6 @@ pub enum UserSelector {
     Percentage(Percentage),
     /// Matches users that satisfy **all** nested selectors.
     And(Vec<UserSelector>),
-    /// Matches users that satisfy **at least one** nested selector.
-    Or(Vec<UserSelector>),
-    /// Matches users that do **not** satisfy the nested selector.
-    Not(Box<UserSelector>),
 }
 
 impl UserSelector {
@@ -134,8 +131,6 @@ impl UserSelector {
                 (bucket as f64) < p.value() / 100.0 * BUCKETS as f64
             }
             UserSelector::And(selectors) => selectors.iter().all(|s| s.selects(user)),
-            UserSelector::Or(selectors) => selectors.iter().any(|s| s.selects(user)),
-            UserSelector::Not(selector) => !selector.selects(user),
         }
     }
 }
@@ -145,11 +140,7 @@ const BUCKETS: u64 = 10_000;
 /// Deterministically maps a user id onto one of [`BUCKETS`] buckets using a
 /// splitmix64-style finalizer. This mirrors hashing a sticky cookie.
 fn stable_bucket(user: UserId) -> u64 {
-    let mut z = user.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z % BUCKETS
+    mix64(user.raw().wrapping_add(GOLDEN_GAMMA)) % BUCKETS
 }
 
 /// A population of users, used by the simulation substrate and by examples to
@@ -239,6 +230,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn stable_buckets_are_pinned() {
+        let buckets: Vec<u64> = [0, 1, 2, 42, 1_000_000, u64::MAX]
+            .into_iter()
+            .map(|raw| stable_bucket(UserId::new(raw)))
+            .collect();
+        assert_eq!(buckets, [7535, 2465, 8110, 5413, 9847, 3936]);
+    }
+
+    #[test]
     fn user_attributes() {
         let user = User::new(UserId::new(1))
             .with_attribute("country", "US")
@@ -293,23 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn and_or_not_compose() {
+    fn and_intersects_selectors() {
         let user_us = User::new(UserId::new(1)).with_attribute("country", "US");
         let user_eu = User::new(UserId::new(2)).with_attribute("country", "EU");
 
         let us = UserSelector::attribute("country", "US");
-        let not_us = UserSelector::Not(Box::new(us.clone()));
         assert!(us.selects(&user_us));
         assert!(!us.selects(&user_eu));
-        assert!(not_us.selects(&user_eu));
 
-        let both = UserSelector::And(vec![UserSelector::All, us.clone()]);
+        let both = UserSelector::And(vec![UserSelector::All, us]);
         assert!(both.selects(&user_us));
         assert!(!both.selects(&user_eu));
-
-        let either = UserSelector::Or(vec![us, UserSelector::attribute("country", "EU")]);
-        assert!(either.selects(&user_us));
-        assert!(either.selects(&user_eu));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::error::DslError;
 use crate::yaml::YamlValue;
+use bifrost_core::routing::RoutingMode;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -139,8 +140,9 @@ pub struct PhaseDoc {
     /// Percentage of the (possibly filtered) user base eligible for the
     /// phase.
     pub user_percentage: Option<f64>,
-    /// Routing mode: `cookie` (default) or `header`.
-    pub routing: Option<String>,
+    /// Routing mode: `cookie` (the default), `header` or `header-based`.
+    /// One mode applies to the whole strategy.
+    pub routing: Option<RoutingMode>,
     /// The phase's checks.
     pub checks: Vec<CheckDoc>,
 }
@@ -500,7 +502,17 @@ fn parse_phase(yaml: &YamlValue) -> Result<PhaseDoc, DslError> {
         sticky: optional_bool(yaml, "sticky", &context)?,
         user_filter: optional_str_map(yaml, "user_filter", &context)?,
         user_percentage: optional_f64(yaml, "user_percentage", &context)?,
-        routing: optional_str(yaml, "routing", &context)?,
+        routing: optional(
+            yaml,
+            "routing",
+            &context,
+            "cookie, header or header-based",
+            |value| match value.scalar_to_string()?.as_str() {
+                "cookie" => Some(RoutingMode::CookieBased),
+                "header" | "header-based" => Some(RoutingMode::HeaderBased),
+                _ => None,
+            },
+        )?,
         checks,
     })
 }
@@ -585,8 +597,14 @@ fn parse_check(yaml: &YamlValue, phase_context: &str) -> Result<CheckDoc, DslErr
     let interval_secs = optional_u64(body, interval_key, &context)?
         .ok_or_else(|| DslError::missing(&context, interval_key))?;
     let executions_key = first_key(body, &["intervalLimit", "executions"]);
-    let executions = optional_u64(body, executions_key, &context)?
-        .ok_or_else(|| DslError::missing(&context, executions_key))? as u32;
+    let executions = optional(
+        body,
+        executions_key,
+        &context,
+        "an integer in 0..=4294967295",
+        |value| value.as_i64().and_then(|v| u32::try_from(v).ok()),
+    )?
+    .ok_or_else(|| DslError::missing(&context, executions_key))?;
     let validator = optional_str(body, "validator", &context)?
         .ok_or_else(|| DslError::missing(&context, "validator"))?;
 
@@ -663,10 +681,9 @@ fn optional_bool(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<
     optional(yaml, field, context, "true or false", YamlValue::as_bool)
 }
 
-/// An optional integer field; negative values clamp to zero.
 fn optional_u64(yaml: &YamlValue, field: &str, context: &str) -> Result<Option<u64>, DslError> {
-    optional(yaml, field, context, "an integer", |value| {
-        value.as_i64().map(|v| v.max(0) as u64)
+    optional(yaml, field, context, "a non-negative integer", |value| {
+        value.as_i64().and_then(|v| u64::try_from(v).ok())
     })
 }
 
@@ -939,6 +956,27 @@ strategy:
             assert!(
                 matches!(&err, DslError::InvalidField { field: f, .. } if f == field),
                 "{phase_line} / {check_line}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_and_oversized_integers_are_rejected() {
+        // A negative value must not clamp to zero, nor an execution count
+        // past u32::MAX wrap (4294967297 would run the check once).
+        for (duration, interval, limit, field) in [
+            ("-60", "5", "3", "duration"),
+            ("60", "-5", "3", "intervalTime"),
+            ("60", "5", "-1", "intervalLimit"),
+            ("60", "5", "4294967297", "intervalLimit"),
+        ] {
+            let source = format!(
+                "name: x\nstrategy:\n  phases:\n    - phase: canary\n      service: s\n      stable: a\n      candidate: b\n      duration: {duration}\n      checks:\n        - metric:\n            name: errors\n            query: request_errors\n            intervalTime: {interval}\n            intervalLimit: {limit}\n            validator: \"<5\"\n"
+            );
+            let err = StrategyDocument::from_yaml(&yaml::parse(&source).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, DslError::InvalidField { field: f, .. } if f == field),
+                "{duration}/{interval}/{limit}: {err}"
             );
         }
     }

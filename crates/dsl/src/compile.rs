@@ -67,19 +67,25 @@ pub fn compile(document: &StrategyDocument) -> Result<Strategy, DslError> {
 
     // 2. Translate phases.
     let mut builder = StrategyBuilder::new(&document.name, catalog);
-    let mut header_routing = false;
+    let mut routing: Option<(RoutingMode, &str)> = None;
     for phase_doc in &document.phases {
-        let phase = compile_phase(phase_doc, &service_ids, &version_ids)?;
-        if matches!(
-            phase_doc.routing.as_deref(),
-            Some("header") | Some("header-based")
-        ) {
-            header_routing = true;
+        if let Some(mode) = phase_doc.routing {
+            let (first, first_phase) = *routing.get_or_insert((mode, &phase_doc.name));
+            if first != mode {
+                return Err(DslError::invalid(
+                    format!("phase '{}'", phase_doc.name),
+                    "routing",
+                    format!(
+                        "differs from phase '{first_phase}' (one routing mode applies to the \
+                         whole strategy)"
+                    ),
+                ));
+            }
         }
-        builder = builder.phase(phase);
+        builder = builder.phase(compile_phase(phase_doc, &service_ids, &version_ids)?);
     }
-    if header_routing {
-        builder = builder.routing_mode(RoutingMode::HeaderBased);
+    if let Some((mode, _)) = routing {
+        builder = builder.routing_mode(mode);
     }
     Ok(builder.build()?)
 }
@@ -368,6 +374,50 @@ strategy:
                 assert!(*sticky, "A/B tests default to sticky sessions");
             }
             other => panic!("unexpected rule {other:?}"),
+        }
+    }
+
+    #[test]
+    fn routing_typos_and_mixed_modes_are_rejected() {
+        // A typo must not fall back to cookie routing, and one phase's mode
+        // must not silently switch every other phase, success and rollback.
+        let two_phases = |first: &str, second: &str| {
+            format!(
+                "name: r\nstrategy:\n  phases:\n    - phase: canary\n      name: one\n      service: s\n      stable: a\n      candidate: b\n      duration: 60\n{first}    - phase: canary\n      name: two\n      service: s\n      stable: a\n      candidate: b\n      duration: 60\n{second}"
+            )
+        };
+        for (first, second, context) in [
+            ("      routing: heder\n", "", "phase 'one'"),
+            (
+                "      routing: cookie\n",
+                "      routing: header\n",
+                "phase 'two'",
+            ),
+            (
+                "      routing: header-based\n",
+                "      routing: cookie\n",
+                "phase 'two'",
+            ),
+        ] {
+            let err = parse_strategy(&two_phases(first, second)).unwrap_err();
+            assert!(
+                matches!(&err, DslError::InvalidField { context: c, field, .. }
+                    if c == context && field == "routing"),
+                "{first:?} {second:?}: {err}"
+            );
+        }
+        for (first, second) in [
+            ("      routing: header\n", "      routing: header-based\n"),
+            ("", "      routing: header\n"),
+        ] {
+            let strategy = parse_strategy(&two_phases(first, second)).unwrap();
+            for state in strategy.automaton().states().values() {
+                for rule in state.routing() {
+                    if let RoutingRule::Split { mode, .. } = rule {
+                        assert_eq!(*mode, RoutingMode::HeaderBased);
+                    }
+                }
+            }
         }
     }
 

@@ -34,17 +34,16 @@ impl fmt::Display for StrategyHandle {
     }
 }
 
-/// Engine configuration.
+/// How often the engine samples its own CPU utilisation into the
+/// utilisation trace.
+const UTILIZATION_SAMPLE_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Engine configuration. The engine itself runs on one core, like the
+/// paper's single-core `n1-standard-1` instances.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Number of CPU cores available to the engine (the paper's testbed uses
-    /// single-core `n1-standard-1` instances).
-    pub cores: usize,
     /// The per-action CPU cost model.
     pub costs: EngineCostModel,
-    /// How often the engine samples its own CPU utilisation into the event
-    /// stream / utilisation trace.
-    pub utilization_sample_interval: Duration,
     /// The seed namespacing any stochastic engine behaviour. The enactment
     /// core is deterministic, but the seed is part of the configuration so a
     /// trial's engine, workload, and application all derive from one
@@ -61,9 +60,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            cores: 1,
             costs: EngineCostModel::default(),
-            utilization_sample_interval: Duration::from_secs(1),
             seed: Seed::DEFAULT,
             session_shards: bifrost_proxy::DEFAULT_SESSION_SHARDS,
         }
@@ -145,7 +142,7 @@ impl BifrostEngine {
         Self {
             config,
             queue: EventQueue::new(),
-            cpu: CpuResource::new(config.cores),
+            cpu: CpuResource::single_core(),
             providers: ProviderRegistry::new(),
             proxies: ProxyFleet::with_session_shards(config.session_shards),
             executions: BTreeMap::new(),
@@ -275,8 +272,8 @@ impl BifrostEngine {
         &self.cpu
     }
 
-    /// The periodic CPU utilisation trace `(time, percent)` sampled every
-    /// [`EngineConfig::utilization_sample_interval`].
+    /// The periodic CPU utilisation trace `(time, percent)` sampled once
+    /// per virtual second.
     pub fn utilization_trace(&self) -> &[(SimTime, f64)] {
         &self.utilization_trace
     }
@@ -313,7 +310,7 @@ impl BifrostEngine {
         if !self.utilization_sampling_started {
             self.utilization_sampling_started = true;
             self.queue.schedule_at(
-                SimTime::ZERO + self.config.utilization_sample_interval,
+                SimTime::ZERO + UTILIZATION_SAMPLE_INTERVAL,
                 EngineAction::SampleUtilization,
             );
         }
@@ -356,7 +353,7 @@ impl BifrostEngine {
             EngineAction::SampleUtilization => {
                 let utilization = self.cpu.sample_utilization(at);
                 self.utilization_trace.push((at, utilization));
-                let next = at + self.config.utilization_sample_interval;
+                let next = at + UTILIZATION_SAMPLE_INTERVAL;
                 if next <= deadline
                     && !(self.unfinished == 0
                         && self.pending_traffic_ticks == 0

@@ -5,10 +5,10 @@
 //! timers against monitoring data, evaluates state transitions, and pushes
 //! routing configurations to the per-service proxies.
 //!
-//! The engine runs on *virtual time* supplied by the `bifrost-simnet`
-//! scheduler. Every unit of engine work — executing a check (including its
-//! metric queries), evaluating a completed state, pushing a proxy
-//! configuration — consumes CPU on the engine's (by default single-core)
+//! The engine runs on *virtual time* ([`bifrost_simnet::SimTime`]) driven
+//! by its own event queue. Every unit of engine work — executing a check
+//! (including its metric queries), evaluating a completed state, pushing a
+//! proxy configuration — consumes CPU on the engine's single-core
 //! processor. This makes the engine-side evaluation of the paper directly
 //! reproducible: CPU utilisation under many parallel strategies (Figure 7),
 //! enactment delay under many parallel strategies (Figure 8), and the same

@@ -45,8 +45,7 @@ pub use query::{Aggregation, LabelMatcher, RangeQuery};
 pub use sample::{Labels, Sample, SeriesKey, TimestampMs};
 pub use series::TimeSeries;
 pub use significance::{
-    two_proportion_z_test, welch_from_summary, welch_lower_is_better, welch_t_test, AbTestResult,
-    AbVerdict, Conversions,
+    two_proportion_z_test, welch_from_summary, welch_t_test, AbTestResult, AbVerdict, Conversions,
 };
 pub use stats::{bin_average, moving_average, DistributionSummary, SummaryStats};
 pub use store::{MetricStore, SharedMetricStore};
@@ -59,8 +58,8 @@ pub mod prelude {
     pub use crate::sample::{Labels, Sample, SeriesKey, TimestampMs};
     pub use crate::series::TimeSeries;
     pub use crate::significance::{
-        two_proportion_z_test, welch_from_summary, welch_lower_is_better, welch_t_test,
-        AbTestResult, AbVerdict, Conversions,
+        two_proportion_z_test, welch_from_summary, welch_t_test, AbTestResult, AbVerdict,
+        Conversions,
     };
     pub use crate::stats::{bin_average, moving_average, DistributionSummary, SummaryStats};
     pub use crate::store::{MetricStore, SharedMetricStore};

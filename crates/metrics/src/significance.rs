@@ -47,13 +47,6 @@ pub struct AbTestResult {
     pub alpha: f64,
 }
 
-impl AbTestResult {
-    /// Whether the difference is statistically significant.
-    pub fn is_significant(&self) -> bool {
-        self.verdict != AbVerdict::Inconclusive
-    }
-}
-
 /// Conversion counts of one variant: how many trials (e.g. buy requests) and
 /// how many successes (e.g. completed purchases).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -169,8 +162,7 @@ pub fn two_proportion_z_test(a: Conversions, b: Conversions, alpha: f64) -> AbTe
 /// Welch's t-test (normal approximation): compares the means of two samples
 /// with possibly unequal variances, e.g. per-variant response times. For
 /// metrics where *lower is better* (latencies), interpret [`AbVerdict::AWins`]
-/// as "A has the higher mean" and negate accordingly at the call site, or use
-/// [`welch_lower_is_better`].
+/// as "A has the higher mean" and negate accordingly at the call site.
 pub fn welch_t_test(a: &[f64], b: &[f64], alpha: f64) -> AbTestResult {
     let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
     let var = |s: &[f64], m: f64| {
@@ -256,19 +248,6 @@ pub fn welch_from_summary(
     }
 }
 
-/// Welch's t-test for metrics where lower values are better (e.g. response
-/// times): the verdict is flipped so that [`AbVerdict::AWins`] means variant A
-/// has the *lower* mean.
-pub fn welch_lower_is_better(a: &[f64], b: &[f64], alpha: f64) -> AbTestResult {
-    let mut result = welch_t_test(a, b, alpha);
-    result.verdict = match result.verdict {
-        AbVerdict::AWins => AbVerdict::BWins,
-        AbVerdict::BWins => AbVerdict::AWins,
-        AbVerdict::Inconclusive => AbVerdict::Inconclusive,
-    };
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +278,6 @@ mod tests {
         let result = two_proportion_z_test(a, b, 0.05);
         assert!(result.p_value < 0.01);
         assert_eq!(result.verdict, AbVerdict::AWins);
-        assert!(result.is_significant());
         assert!(result.statistic > 2.0);
         assert!((result.estimate_a - 0.12).abs() < 1e-12);
 
@@ -315,7 +293,6 @@ mod tests {
         let b = Conversions::new(50, 4);
         let result = two_proportion_z_test(a, b, 0.05);
         assert_eq!(result.verdict, AbVerdict::Inconclusive);
-        assert!(!result.is_significant());
         assert!(result.p_value > 0.05);
     }
 
@@ -353,10 +330,6 @@ mod tests {
         assert_eq!(result.verdict, AbVerdict::BWins);
         assert!(result.p_value < 0.001);
         assert!((result.difference + 10.0).abs() < 1e-9);
-
-        // For latency-style metrics A (the lower one) should win.
-        let lower = welch_lower_is_better(&a, &b, 0.05);
-        assert_eq!(lower.verdict, AbVerdict::AWins);
     }
 
     #[test]

@@ -49,17 +49,6 @@ impl OverheadModel {
         }
     }
 
-    /// Parameters for a hypothetical optimised implementation (used by the
-    /// ablation bench comparing routing modes and implementations).
-    pub fn optimized() -> Self {
-        Self {
-            forward_ms: 1.0,
-            cookie_ms: 0.4,
-            sticky_lookup_ms: 0.1,
-            shadow_copy_ms: 0.6,
-        }
-    }
-
     /// The CPU demand of handling one request with the given routing mode,
     /// sticky-session requirement, and number of shadow copies.
     pub fn request_cost(&self, mode: RoutingMode, sticky: bool, shadow_copies: usize) -> Duration {
@@ -121,21 +110,5 @@ mod tests {
         let cost = OverheadModel::default().request_cost(RoutingMode::CookieBased, false, 0);
         let ms = cost.as_secs_f64() * 1_000.0;
         assert!(ms > 6.0 && ms < 9.0, "{ms}");
-    }
-
-    #[test]
-    fn optimized_model_is_cheaper_everywhere() {
-        let node = OverheadModel::node_prototype();
-        let fast = OverheadModel::optimized();
-        for (mode, sticky, shadows) in [
-            (RoutingMode::CookieBased, false, 0),
-            (RoutingMode::CookieBased, true, 2),
-            (RoutingMode::HeaderBased, false, 1),
-        ] {
-            assert!(
-                fast.request_cost(mode, sticky, shadows) < node.request_cost(mode, sticky, shadows)
-            );
-        }
-        assert!(fast.passthrough_cost() < node.passthrough_cost());
     }
 }

@@ -161,9 +161,7 @@ impl BifrostProxy {
     /// session-shard count.
     pub fn new(name: impl Into<String>, config: ProxyConfig) -> Self {
         let name = name.into();
-        let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-        });
+        let seed = hash::fnv1a(name.as_bytes());
         let sessions = SessionStore::new();
         let stats = (0..sessions.shard_count())
             .map(|_| Mutex::default())
@@ -178,12 +176,6 @@ impl BifrostProxy {
             stats,
             config_updates: 0,
         }
-    }
-
-    /// Overrides the overhead model (builder style).
-    pub fn with_overhead(mut self, overhead: OverheadModel) -> Self {
-        self.overhead = overhead;
-        self
     }
 
     /// Overrides the session-store shard count (builder style). Only valid
@@ -600,6 +592,30 @@ mod tests {
     }
 
     #[test]
+    fn named_proxy_mints_pinned_tokens() {
+        // The token stream is seeded from the proxy name, so these values
+        // change only if the name hash or the generator changes.
+        let proxy = BifrostProxy::new(
+            "product-proxy",
+            canary_config(50.0, true, RoutingMode::CookieBased),
+        );
+        let tokens: Vec<String> = (0..3)
+            .map(|_| {
+                let decision = proxy.route(&ProxyRequest::new());
+                decision.set_cookie.unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(
+            tokens,
+            [
+                "e350ba71-8946-4091-8d1c-11940aa1e4f9",
+                "f5757f81-9dbd-431d-a441-476fc9d41068",
+                "7564f3b5-4602-4222-be11-363df3527c2f",
+            ]
+        );
+    }
+
+    #[test]
     fn inactive_proxy_forwards_to_default() {
         let (service, stable, _) = ids();
         let proxy = BifrostProxy::new("search-proxy", ProxyConfig::new(service, stable));
@@ -757,8 +773,7 @@ mod tests {
         let dark = ProxyConfig::new(service, stable).with_rule(ProxyRule::shadow(
             DarkLaunchRoute::new(stable, canary, Percentage::full()),
         ));
-        let dark_proxy =
-            BifrostProxy::new("p2", dark).with_overhead(OverheadModel::node_prototype());
+        let dark_proxy = BifrostProxy::new("p2", dark);
         let decision = dark_proxy.route(&ProxyRequest::from_user(UserId::new(3)));
         assert!(dark_proxy.processing_cost(&decision) > base_cost);
     }

@@ -21,9 +21,6 @@ pub struct ProxyRequest {
     pub cookies: BTreeMap<String, String>,
     /// Request headers relevant to routing.
     pub headers: BTreeMap<String, String>,
-    /// Approximate request payload size in bytes (used by the simulation's
-    /// latency model, not by routing).
-    pub payload_bytes: usize,
 }
 
 impl ProxyRequest {
@@ -47,21 +44,9 @@ impl ProxyRequest {
         self
     }
 
-    /// Adds an arbitrary cookie (builder style).
-    pub fn with_cookie(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.cookies.insert(name.into(), value.into());
-        self
-    }
-
     /// Adds a header (builder style).
     pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.insert(name.into(), value.into());
-        self
-    }
-
-    /// Sets the payload size (builder style).
-    pub fn with_payload_bytes(mut self, bytes: usize) -> Self {
-        self.payload_bytes = bytes;
         self
     }
 
@@ -132,13 +117,9 @@ mod tests {
 
     #[test]
     fn request_builders() {
-        let request = ProxyRequest::from_user(UserId::new(4))
-            .with_cookie("theme", "dark")
-            .with_header(GROUP_HEADER, "B")
-            .with_payload_bytes(512);
+        let request = ProxyRequest::from_user(UserId::new(4)).with_header(GROUP_HEADER, "B");
         assert_eq!(request.user, Some(UserId::new(4)));
         assert_eq!(request.group_header(), Some("B"));
-        assert_eq!(request.payload_bytes, 512);
         assert!(request.session_token().is_none());
         assert!(ProxyRequest::new().user.is_none());
     }
@@ -153,10 +134,13 @@ mod tests {
 
     #[test]
     fn malformed_cookies_are_ignored() {
-        let request = ProxyRequest::new().with_cookie(SESSION_COOKIE, "not-a-uuid");
-        assert!(request.session_token().is_none());
-        let request = ProxyRequest::new().with_cookie(SESSION_COOKIE, "1234");
-        assert!(request.session_token().is_none());
+        for raw in ["not-a-uuid", "1234"] {
+            let mut request = ProxyRequest::new();
+            request
+                .cookies
+                .insert(SESSION_COOKIE.to_string(), raw.to_string());
+            assert!(request.session_token().is_none(), "{raw}");
+        }
     }
 
     #[test]

@@ -51,18 +51,6 @@ impl LoadProfile {
         self
     }
 
-    /// Switches to exponential (Poisson) inter-arrival times (builder style).
-    pub fn with_poisson_arrivals(mut self, poisson: bool) -> Self {
-        self.poisson_arrivals = poisson;
-        self
-    }
-
-    /// Overrides the request mix (builder style).
-    pub fn with_mix(mut self, mix: RequestMix) -> Self {
-        self.mix = mix;
-        self
-    }
-
     /// Generates the full arrival plan for the profile.
     pub fn plan(&self, rng: &mut SimRng) -> ArrivalPlan {
         let mut arrivals = Vec::new();
@@ -244,9 +232,11 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_have_similar_mean_rate() {
-        let profile = LoadProfile::paper_profile(Duration::from_secs(200))
-            .with_poisson_arrivals(true)
-            .with_rate(20.0);
+        let profile = LoadProfile {
+            poisson_arrivals: true,
+            ..LoadProfile::paper_profile(Duration::from_secs(200))
+        }
+        .with_rate(20.0);
         let mut rng = SimRng::seeded(5);
         let plan = profile.plan(&mut rng);
         let rate = plan.rate_between(SimTime::from_secs(40), SimTime::from_secs(200));
@@ -288,8 +278,10 @@ mod tests {
 
     #[test]
     fn mix_override_changes_composition() {
-        let profile = LoadProfile::paper_profile(Duration::from_secs(300))
-            .with_mix(RequestMix::custom(0.0, 0.0, 0.0, 1.0));
+        let profile = LoadProfile {
+            mix: RequestMix::custom(0.0, 0.0, 0.0, 1.0),
+            ..LoadProfile::paper_profile(Duration::from_secs(300))
+        };
         let mut rng = SimRng::seeded(2);
         let plan = profile.plan(&mut rng);
         assert!(plan
@@ -301,8 +293,10 @@ mod tests {
 
     #[test]
     fn batches_partition_the_plan_by_tick() {
-        let profile =
-            LoadProfile::paper_profile(Duration::from_secs(60)).with_poisson_arrivals(true);
+        let profile = LoadProfile {
+            poisson_arrivals: true,
+            ..LoadProfile::paper_profile(Duration::from_secs(60))
+        };
         let plan = profile.plan(&mut SimRng::seeded(9));
         let tick = Duration::from_secs(1);
         let batches: Vec<_> = plan.batches(tick).collect();

@@ -95,18 +95,6 @@ impl RequestMix {
         }
     }
 
-    /// A read-heavy mix (used by ablation benches).
-    pub fn read_heavy() -> Self {
-        Self {
-            weights: [
-                (RequestKind::Buy, 0.05),
-                (RequestKind::Details, 0.40),
-                (RequestKind::Products, 0.15),
-                (RequestKind::Search, 0.40),
-            ],
-        }
-    }
-
     /// Creates a custom mix. Weights are normalised; non-positive totals fall
     /// back to the default mix.
     pub fn custom(buy: f64, details: f64, products: f64, search: f64) -> Self {
@@ -186,7 +174,7 @@ mod tests {
 
     #[test]
     fn sampling_matches_probabilities() {
-        let mix = RequestMix::read_heavy();
+        let mix = RequestMix::custom(0.05, 0.40, 0.15, 0.40);
         let mut rng = SimRng::seeded(13);
         let n = 50_000;
         let mut counts = std::collections::BTreeMap::new();

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`core`] | `bifrost-core` | the formal model: strategies, automata, states, checks, thresholds, routing configuration |
 //! | [`metrics`] | `bifrost-metrics` | the monitoring substrate: time-series store, Prometheus-flavoured queries, providers, summary statistics |
-//! | [`simnet`] | `bifrost-simnet` | the deterministic cluster simulator: virtual time, event scheduler, VMs/containers, CPU and network models |
+//! | [`simnet`] | `bifrost-simnet` | the deterministic cluster simulator: virtual time, CPU contention, single-core containers with one network hop between them |
 //! | [`proxy`] | `bifrost-proxy` | the routing proxy: traffic splits, sticky sessions, dark-launch duplication, overhead model |
 //! | [`engine`] | `bifrost-engine` | the enactment engine: strategy scheduling, timed checks, transitions, proxy configuration |
 //! | [`dsl`] | `bifrost-dsl` | the YAML-based strategy DSL: parser, document model, compiler |
