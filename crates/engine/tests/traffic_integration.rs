@@ -349,3 +349,62 @@ fn traffic_without_a_registered_proxy_is_skipped() {
     f.engine.run_until(SimTime::from_secs(20));
     assert_eq!(f.engine.traffic_stats(handle).unwrap().requests, 0);
 }
+
+#[test]
+fn many_core_proxy_outputs_are_pinned() {
+    // A 367-core proxy VM (the size the traffic figure's rule gives 20k
+    // req/s) under a Poisson burst at a nominal 80k req/s, more than its
+    // cores route at 5.5–8 ms a request, so requests queue on the proxy CPU
+    // and every submit's core choice shapes the latencies. The expected
+    // values were captured with the linear core scan that preceded the heap
+    // of core free times; the heap must reproduce them bit for bit.
+    let mut f = fixture(367);
+    let strategy = StrategyBuilder::new("canary", f.catalog.clone())
+        .phase(
+            PhaseSpec::canary(
+                "canary-20",
+                f.search,
+                f.stable,
+                f.fast,
+                Percentage::new(20.0).unwrap(),
+            )
+            .duration_secs(60),
+        )
+        .build()
+        .unwrap();
+    f.engine.schedule(strategy, SimTime::ZERO);
+    let mut load = bifrost_workload::LoadProfile::paper_profile(Duration::from_secs(2))
+        .with_rate(80_000.0)
+        .with_users(1_000_000);
+    load.ramp_up = Duration::from_millis(500);
+    load.poisson_arrivals = true;
+    let profile = TrafficProfile::new(f.search, load)
+        .with_tick(Duration::from_millis(100))
+        .with_cores(367)
+        .with_service_label("search")
+        .with_backend(
+            f.stable,
+            "v1",
+            BackendProfile::healthy(Duration::from_millis(10)),
+        )
+        .with_backend(
+            f.fast,
+            "v2",
+            BackendProfile::defective(Duration::from_millis(6), 0.01),
+        );
+    let handle = f.engine.attach_traffic(profile, f.store.clone());
+    f.engine.run_until(SimTime::from_secs(5));
+
+    let stats = f.engine.traffic_stats(handle).unwrap();
+    // A wrapping sum of the latencies' bit patterns fingerprints them all.
+    let latency_bits =
+        (stats.latencies_ms.iter()).fold(0u64, |sum, ms| sum.wrapping_add(ms.to_bits()));
+    assert!(
+        stats.latency_quantile_ms(1.0) > 500.0,
+        "the proxy must queue"
+    );
+    assert_eq!(
+        (stats.requests, stats.errors, latency_bits),
+        (70_957, 140, 8_497_518_433_454_362_142)
+    );
+}

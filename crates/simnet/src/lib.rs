@@ -5,7 +5,9 @@
 //!
 //! * **virtual time** ([`SimTime`], microsecond resolution),
 //! * **CPUs** whose contention produces queueing delay and utilisation
-//!   ([`CpuResource`]), and
+//!   ([`CpuResource`]; a heap of core free times makes each submission
+//!   O(log c), so proxy VMs of hundreds of cores cost little to simulate),
+//!   and
 //! * a **cluster** of containers, each on a single-core VM of its own, with
 //!   a per-hop network latency between them, exporting cAdvisor-style
 //!   resource metrics into a shared metric store ([`Cluster`]).
