@@ -8,13 +8,16 @@
 //! every shard count of [`SHARD_SWEEP`], and the trial reports the
 //! wall-clock **nanoseconds per routed request** per shard count plus each
 //! multi-shard count's **time relative to the 1-shard run of the same
-//! trial**.
+//! trial**, and the number of drive threads it ran with.
 //!
 //! Unlike the virtual-time figures these points measure real wall-clock
 //! work, so absolute `ns_per_request` values are machine-dependent and only
 //! informational. The `time_vs_1shard` ratios are what the CI gate pins
-//! (`crates/bench/baseline_sessions.json`): they are computed within one
-//! trial on one machine, so they transfer across hardware — sharding wins
+//! (`crates/bench/baseline_sessions.json`). Each repetition times every
+//! shard count back to back, so a ratio pairs a multi-shard pass with the
+//! 1-shard pass next to it, and slow host drift hits both passes of a
+//! pair alike; the trial reports the median pair ratio. The
+//! ratios transfer across hardware far better than raw times — sharding wins
 //! on a single core by cutting per-shard tree depth (fewer cache-missing
 //! node hops per lookup at millions of bindings) and wins again on
 //! multi-core runners by striping lock contention across shards. Both
@@ -29,6 +32,7 @@ use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::routing::{Percentage, RoutingMode, TrafficSplit};
 use bifrost_core::seed::Seed;
 use bifrost_core::user::UserSelector;
+use bifrost_metrics::SummaryStats;
 use bifrost_proxy::{
     BifrostProxy, ProxyConfig, ProxyRequest, ProxyRule, SessionToken, TokenGenerator,
 };
@@ -49,7 +53,7 @@ pub struct SessionsConfig {
     pub bindings: usize,
     /// Requests routed per timed repetition.
     pub requests: usize,
-    /// Timed repetitions per shard count (the minimum is reported).
+    /// Timed repetitions: each one passes over every shard count.
     pub repetitions: usize,
     /// OS threads driving the requests concurrently.
     pub threads: usize,
@@ -61,7 +65,7 @@ impl SessionsConfig {
         Self {
             bindings: 1_000_000,
             requests: 200_000,
-            repetitions: 3,
+            repetitions: 7,
             threads: drive_threads(),
         }
     }
@@ -71,7 +75,7 @@ impl SessionsConfig {
         Self {
             bindings: 2_000_000,
             requests: 600_000,
-            repetitions: 3,
+            repetitions: 7,
             threads: drive_threads(),
         }
     }
@@ -106,6 +110,9 @@ pub struct SessionsPointResult {
     /// minimum is the standard noise-robust estimator for a fixed
     /// deterministic workload: systematic cost stays, interference drops).
     pub ns_per_request: f64,
+    /// Median over repetitions of this shard count's pass time divided by
+    /// the 1-shard pass time of the same repetition (1.0 for 1 shard).
+    pub time_vs_1shard: f64,
     /// Sticky hits observed (sanity: the drive must exercise the table).
     pub sticky_hits: u64,
 }
@@ -114,10 +121,11 @@ pub struct SessionsPointResult {
 /// population.
 ///
 /// All sweep points are built (and their binding tables populated) up
-/// front, then the timed repetitions **interleave** the shard counts —
-/// round-robin `1, 4, 16, 1, 4, 16, …` — so slow drift on a busy machine
-/// (thermal state, noisy CI neighbours) lands on every shard count alike
-/// instead of biasing whichever point ran last.
+/// front, then every timed repetition passes over all shard counts back to
+/// back, alternating the direction (`1, 4, 16`, then `16, 4, 1`, …), so
+/// slow drift on a busy machine (thermal state, noisy CI neighbours) lands
+/// on every shard count alike instead of biasing whichever point ran
+/// last. Each repetition yields one paired ratio per multi-shard count.
 pub fn run_sweep_seeded(config: &SessionsConfig, seed: Seed) -> Vec<SessionsPointResult> {
     // One deterministic token population per trial, shared by every shard
     // count so all sweep points route byte-identical traffic.
@@ -137,20 +145,37 @@ pub fn run_sweep_seeded(config: &SessionsConfig, seed: Seed) -> Vec<SessionsPoin
         .iter()
         .map(|&shards| build_proxy(shards, &tokens))
         .collect();
-    let mut best_ns = vec![f64::INFINITY; proxies.len()];
-    for _rep in 0..config.repetitions.max(1) {
-        for (point, proxy) in proxies.iter().enumerate() {
-            let ns = timed_pass(proxy, &requests, config.threads.max(1));
-            best_ns[point] = best_ns[point].min(ns);
-        }
-    }
+    let threads = config.threads.max(1);
+    // One row per repetition: each point's pass time, ns per request.
+    let passes: Vec<Vec<f64>> = (0..config.repetitions.max(1))
+        .map(|rep| {
+            let mut row = vec![0.0; proxies.len()];
+            let mut order: Vec<usize> = (0..proxies.len()).collect();
+            if rep % 2 == 1 {
+                order.reverse();
+            }
+            for point in order {
+                row[point] = timed_pass(&proxies[point], &requests, threads);
+            }
+            row
+        })
+        .collect();
     proxies
         .iter()
         .enumerate()
-        .map(|(point, proxy)| SessionsPointResult {
-            shards: SHARD_SWEEP[point],
-            ns_per_request: best_ns[point],
-            sticky_hits: proxy.stats().sticky_hits,
+        .map(|(point, proxy)| {
+            let ratios: Vec<f64> = passes.iter().map(|row| row[point] / row[0]).collect();
+            SessionsPointResult {
+                shards: SHARD_SWEEP[point],
+                ns_per_request: passes
+                    .iter()
+                    .map(|row| row[point])
+                    .fold(f64::INFINITY, f64::min),
+                time_vs_1shard: SummaryStats::compute(&ratios)
+                    .expect("at least one repetition")
+                    .median,
+                sticky_hits: proxy.stats().sticky_hits,
+            }
         })
         .collect()
 }
@@ -235,6 +260,7 @@ mod tests {
         for (point, &shards) in points.iter().zip(SHARD_SWEEP) {
             assert_eq!(point.shards, shards);
             assert!(point.ns_per_request > 0.0);
+            assert!(point.time_vs_1shard > 0.0);
             // Every repetition's requests hit the pre-populated table.
             assert_eq!(
                 point.sticky_hits,

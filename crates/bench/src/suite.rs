@@ -183,16 +183,14 @@ fn backends_trial(requests: usize, seed: Seed) -> KeyedMeasurements {
 }
 
 /// One trial of the sticky-session sharding experiment: wall-clock
-/// nanoseconds per routed request at every shard count of the sweep, plus
-/// each multi-shard count's time relative to the same trial's 1-shard run.
-/// The ratios are the machine-portable points the CI gate pins; the raw
-/// `ns_per_request` values are informational. All lower-is-better.
+/// nanoseconds per routed request at every shard count of the sweep, each
+/// multi-shard count's time relative to the 1-shard run (the median of
+/// paired ratios within the trial), and the number of threads that drove
+/// the requests. The ratios are the machine-portable points the CI gate
+/// pins; the raw `ns_per_request` values and the thread count are
+/// informational. The timings are lower-is-better.
 fn sessions_trial(config: &SessionsConfig, seed: Seed) -> KeyedMeasurements {
     let points = session_experiments::run_sweep_seeded(config, seed);
-    let baseline_ns = points
-        .first()
-        .map(|p| p.ns_per_request)
-        .filter(|ns| *ns > 0.0);
     let mut measurements = Vec::new();
     for point in &points {
         measurements.push((
@@ -200,16 +198,18 @@ fn sessions_trial(config: &SessionsConfig, seed: Seed) -> KeyedMeasurements {
             point.ns_per_request,
         ));
     }
-    if let Some(baseline_ns) = baseline_ns {
-        for point in points.iter().skip(1) {
-            measurements.push((
-                format!("shards={}/time_vs_1shard", point.shards),
-                point.ns_per_request / baseline_ns,
-            ));
-        }
+    for point in points.iter().skip(1) {
+        measurements.push((
+            format!("shards={}/time_vs_1shard", point.shards),
+            point.time_vs_1shard,
+        ));
     }
+    measurements.push((DRIVE_THREADS_POINT.to_string(), config.threads as f64));
     measurements
 }
+
+/// The `sessions` point recording how many threads drove the requests.
+const DRIVE_THREADS_POINT: &str = "drive/threads";
 
 /// The point labels `figure` can emit, across both timelines and the full
 /// paper sweeps — the superset that `experiments check-baselines` validates
@@ -268,6 +268,7 @@ pub fn point_names(figure: &str) -> Option<Vec<String>> {
                     .skip(1)
                     .map(|n| format!("shards={n}/time_vs_1shard")),
             );
+            names.push(DRIVE_THREADS_POINT.to_string());
             Some(names)
         }
         "backends" => Some(

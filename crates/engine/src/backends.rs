@@ -17,7 +17,8 @@
 //! * a [`BackendFleet`] keys the running servers by `(ServiceId,
 //!   VersionId)` so every traffic stream of a service charges the same
 //!   replicas — which is exactly what lets a 20% dark launch measurably
-//!   heat the shadow version.
+//!   heat the shadow version. It holds one map per service, so the engine
+//!   can lend each service's servers to its own data-plane worker.
 //!
 //! Latency becomes load-dependent through [`WorkReceipt::queueing_delay`]:
 //! below saturation a request starts almost immediately and its latency is
@@ -261,12 +262,44 @@ impl fmt::Debug for VersionBackend {
     }
 }
 
-/// The engine's running backend servers, keyed by `(service, version)`.
-/// Every traffic stream of a service dispatches into the same servers, so
-/// primary and shadow load of concurrent streams contend realistically.
+/// The running servers of one service, keyed by version: the unit the
+/// engine lends to a data-plane worker along with that service's streams
+/// and proxy-VM CPU (see [`crate::traffic`]).
+#[derive(Debug, Default)]
+pub(crate) struct ServiceBackends {
+    servers: BTreeMap<VersionId, VersionBackend>,
+}
+
+impl ServiceBackends {
+    /// Returns the running server of `version`, booting it from `spec` on
+    /// first sight (later calls keep the existing server and its
+    /// accumulated load — the first registration wins).
+    pub(crate) fn ensure(
+        &mut self,
+        version: VersionId,
+        spec: &QueuedBackend,
+    ) -> &mut VersionBackend {
+        self.servers
+            .entry(version)
+            .or_insert_with(|| VersionBackend::new(*spec))
+    }
+
+    /// Iterates mutably over the running servers in version order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (VersionId, &mut VersionBackend)> {
+        self.servers
+            .iter_mut()
+            .map(|(version, server)| (*version, server))
+    }
+}
+
+/// The engine's running backend servers, one [`VersionBackend`] per
+/// `(service, version)`, held in per-service maps. Every traffic stream of
+/// a service dispatches into the same servers, so primary and shadow load
+/// of concurrent streams contend realistically; the per-service maps let
+/// the engine lend each service's servers to a different worker.
 #[derive(Debug, Default)]
 pub struct BackendFleet {
-    servers: BTreeMap<(ServiceId, VersionId), VersionBackend>,
+    services: BTreeMap<ServiceId, ServiceBackends>,
 }
 
 impl BackendFleet {
@@ -284,14 +317,12 @@ impl BackendFleet {
         version: VersionId,
         spec: &QueuedBackend,
     ) -> &mut VersionBackend {
-        self.servers
-            .entry((service, version))
-            .or_insert_with(|| VersionBackend::new(*spec))
+        self.service_mut(service).ensure(version, spec)
     }
 
     /// The running server of `(service, version)`, if any.
     pub fn server(&self, service: ServiceId, version: VersionId) -> Option<&VersionBackend> {
-        self.servers.get(&(service, version))
+        self.services.get(&service)?.servers.get(&version)
     }
 
     /// Iterates mutably over the running servers of one service.
@@ -299,19 +330,34 @@ impl BackendFleet {
         &mut self,
         service: ServiceId,
     ) -> impl Iterator<Item = (VersionId, &mut VersionBackend)> {
-        self.servers
-            .range_mut((service, VersionId::new(0))..=(service, VersionId::new(u64::MAX)))
-            .map(|((_, version), server)| (*version, server))
+        self.services
+            .get_mut(&service)
+            .into_iter()
+            .flat_map(ServiceBackends::iter_mut)
     }
 
     /// Number of running version servers.
     pub fn len(&self) -> usize {
-        self.servers.len()
+        self.services.values().map(|s| s.servers.len()).sum()
     }
 
     /// Whether no server has been booted yet.
     pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
+        self.len() == 0
+    }
+
+    /// The server map of `service`, created empty on first sight.
+    pub(crate) fn service_mut(&mut self, service: ServiceId) -> &mut ServiceBackends {
+        self.services.entry(service).or_default()
+    }
+
+    /// Iterates mutably over every service's server map in service order.
+    pub(crate) fn services_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (ServiceId, &mut ServiceBackends)> {
+        self.services
+            .iter_mut()
+            .map(|(service, servers)| (*service, servers))
     }
 }
 

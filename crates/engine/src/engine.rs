@@ -3,6 +3,7 @@
 
 use crate::backends::BackendFleet;
 use crate::cost::EngineCostModel;
+use crate::dataplane::{DataPlane, Tick};
 use crate::events::{EngineEvent, EventLog, EventQueue};
 use crate::execution::StrategyExecution;
 use crate::proxies::{ProxyFleet, ProxyHandle};
@@ -103,6 +104,7 @@ enum EngineAction {
     /// Sample the engine's CPU utilisation.
     SampleUtilization,
     /// Route one tick's batch of a traffic stream through the proxy fleet.
+    /// Consecutive ticks are batched into one data-plane run.
     TrafficTick { stream: usize, batch: usize },
 }
 
@@ -114,14 +116,8 @@ pub struct BifrostEngine {
     providers: ProviderRegistry,
     proxies: ProxyFleet,
     executions: BTreeMap<StrategyId, StrategyExecution>,
-    traffic: Vec<TrafficStream>,
-    /// One proxy-VM CPU per service carrying traffic: streams targeting the
-    /// same service contend for the same cores.
-    traffic_cpus: BTreeMap<ServiceId, CpuResource>,
-    /// The queued backend servers, keyed by `(service, version)`: every
-    /// stream's primary and shadow dispatches of a version charge the same
-    /// replicas.
-    backends: BackendFleet,
+    /// The traffic streams, their proxy-VM CPUs and backend servers.
+    plane: DataPlane,
     events: EventLog,
     next_strategy_id: u64,
     /// Number of scheduled strategies that have not reached a final state.
@@ -146,9 +142,7 @@ impl BifrostEngine {
             providers: ProviderRegistry::new(),
             proxies: ProxyFleet::with_session_shards(config.session_shards),
             executions: BTreeMap::new(),
-            traffic: Vec::new(),
-            traffic_cpus: BTreeMap::new(),
-            backends: BackendFleet::new(),
+            plane: DataPlane::default(),
             events: EventLog::new(),
             next_strategy_id: 0,
             unfinished: 0,
@@ -201,18 +195,17 @@ impl BifrostEngine {
     /// contend realistically. Give each stream a distinct service label
     /// when recording into the same store — two recorders publishing under
     /// one label would interleave their independent cumulative totals into
-    /// the same counter series.
+    /// the same counter series (services that share a label still step
+    /// deterministically: the data plane keeps their ticks in one
+    /// partition, see [`crate::traffic`]).
     pub fn attach_traffic(
         &mut self,
         profile: TrafficProfile,
         store: SharedMetricStore,
     ) -> TrafficHandle {
-        let index = self.traffic.len();
-        let stream = TrafficStream::new(profile, index, self.config.seed, store);
-        self.traffic_cpus
-            .entry(stream.service())
-            .or_insert_with(|| CpuResource::new(stream.cores()));
+        let stream = TrafficStream::new(profile, self.plane.len(), self.config.seed, store);
         let tick_times = stream.batch_times();
+        let index = self.plane.attach(stream);
         self.pending_traffic_ticks += tick_times.len();
         self.queue
             .schedule_batch(tick_times.into_iter().enumerate().map(|(batch, at)| {
@@ -224,20 +217,19 @@ impl BifrostEngine {
                     },
                 )
             }));
-        self.traffic.push(stream);
         TrafficHandle(index)
     }
 
     /// The accumulated statistics of an attached traffic stream.
     pub fn traffic_stats(&self, handle: TrafficHandle) -> Option<&TrafficStats> {
-        self.traffic.get(handle.0).map(TrafficStream::stats)
+        self.plane.stats(handle.0)
     }
 
     /// The running queued backend servers (for utilisation queries by
     /// experiment harnesses and tests). Servers boot lazily on the first
     /// dispatch of a version with a queued backend model.
     pub fn backends(&self) -> &BackendFleet {
-        &self.backends
+        self.plane.backends()
     }
 
     /// Schedules a strategy to start at `start_at`. Returns a handle for
@@ -255,6 +247,12 @@ impl BifrostEngine {
         self.queue
             .schedule_at(start_at, EngineAction::StartStrategy { strategy: id });
         StrategyHandle(id)
+    }
+
+    /// The data plane, for tests that set its worker count.
+    #[cfg(test)]
+    pub(crate) fn plane_mut(&mut self) -> &mut DataPlane {
+        &mut self.plane
     }
 
     /// The current virtual time of the engine.
@@ -320,12 +318,7 @@ impl BifrostEngine {
     /// processed, advancing virtual time. Returns the number of events
     /// processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.start_utilization_sampling();
-        let mut processed = 0;
-        while let Some(due) = self.queue.pop_until(deadline) {
-            processed += 1;
-            self.handle_action(due.at, due.action, deadline);
-        }
+        let processed = self.run_events(deadline, false);
         self.queue.advance_to(deadline);
         processed
     }
@@ -334,17 +327,36 @@ impl BifrostEngine {
     /// every attached traffic tick has been routed, or `deadline` is
     /// reached, whichever comes first.
     pub fn run_to_completion(&mut self, deadline: SimTime) -> u64 {
+        self.run_events(deadline, true)
+    }
+
+    /// The event loop of both run methods: pops events due by `deadline`
+    /// (while work remains, if `until_done`) and returns how many it
+    /// popped. Consecutive traffic ticks are collected into a run, and the
+    /// run is replayed before the next control event is handled and when
+    /// the loop ends. This matches handling every event in pop order:
+    /// ticks schedule no events and touch no engine CPU, event log or
+    /// strategy state, and every control event still sees every tick
+    /// queued before it. A tick counts as consumed when it is popped.
+    fn run_events(&mut self, deadline: SimTime, until_done: bool) -> u64 {
         self.start_utilization_sampling();
         let mut processed = 0;
-        while self.unfinished > 0 || self.pending_traffic_ticks > 0 {
-            match self.queue.pop_until(deadline) {
-                Some(due) => {
-                    processed += 1;
-                    self.handle_action(due.at, due.action, deadline);
-                }
-                None => break,
+        let mut run: Vec<Tick> = Vec::new();
+        while !until_done || self.unfinished > 0 || self.pending_traffic_ticks > 0 {
+            let Some(due) = self.queue.pop_until(deadline) else {
+                break;
+            };
+            processed += 1;
+            if let EngineAction::TrafficTick { stream, batch } = due.action {
+                self.pending_traffic_ticks = self.pending_traffic_ticks.saturating_sub(1);
+                run.push((stream, batch, due.at));
+                continue;
             }
+            self.plane.step(&run, &self.proxies);
+            run.clear();
+            self.handle_action(due.at, due.action, deadline);
         }
+        self.plane.step(&run, &self.proxies);
         processed
     }
 
@@ -375,26 +387,10 @@ impl BifrostEngine {
                 state,
                 generation,
             } => self.state_deadline(strategy, state, generation, at),
-            EngineAction::TrafficTick { stream, batch } => self.traffic_tick(stream, batch, at),
+            EngineAction::TrafficTick { .. } => {
+                unreachable!("run_events batches traffic ticks into data-plane runs")
+            }
         }
-    }
-
-    /// Routes one traffic tick's batch through the target service's proxy.
-    /// Streams whose service has no registered proxy are skipped (like
-    /// rules for unregistered services).
-    fn traffic_tick(&mut self, stream: usize, batch: usize, at: SimTime) {
-        self.pending_traffic_ticks = self.pending_traffic_ticks.saturating_sub(1);
-        let Some(traffic) = self.traffic.get_mut(stream) else {
-            return;
-        };
-        let Some(proxy) = self.proxies.handle(traffic.service()) else {
-            return;
-        };
-        let cpu = self
-            .traffic_cpus
-            .get_mut(&traffic.service())
-            .expect("registered at attach");
-        traffic.route_batch(batch, &proxy, cpu, &mut self.backends, at);
     }
 
     fn start_strategy(&mut self, strategy: StrategyId, at: SimTime) {

@@ -15,6 +15,11 @@
 //! two quantities under an increasing number of parallel checks
 //! (Figures 9–10).
 //!
+//! That simulated engine CPU is virtual. On the host, attached
+//! request-level traffic (the data plane, [`traffic`]) is replayed in
+//! per-service partitions on all available cores between control events,
+//! with byte-identical results at any worker count.
+//!
 //! ```
 //! use bifrost_core::prelude::*;
 //! use bifrost_engine::prelude::*;
@@ -49,6 +54,7 @@
 
 pub mod backends;
 pub mod cost;
+mod dataplane;
 pub mod engine;
 pub mod events;
 pub mod execution;

@@ -18,6 +18,23 @@
 //! [`bifrost_metrics::TrafficSeriesRecorder`] — so checks evaluate traffic
 //! the proxies actually routed instead of hand-injected samples.
 //!
+//! Ticks are the engine's data plane. The engine collects consecutive
+//! `TrafficTick` events into a run and replays it before it handles the
+//! next control event (a strategy start, check, state deadline or
+//! utilisation sample) or returns at its deadline. A tick schedules no
+//! events and touches no engine CPU, event log or strategy state, and each
+//! control event still sees every tick queued before it, so this equals
+//! handling each event as it is popped. A run is split into partitions:
+//! the streams of one service, merged with every other service whose
+//! streams record under the same `service` label. Each partition owns its
+//! streams, its service's proxy-VM CPU and backend servers, and replays
+//! its ticks in queue order, on one of `min(available_parallelism(),
+//! partitions the run touches, ⌈arrivals / 1024⌉)` threads. The engine's
+//! own thread is one of them, so a run that touches one partition, a run
+//! of at most 1024 arrivals, or a host with one CPU spawns no thread. Partitions write disjoint series of a
+//! `BTreeMap`-keyed metric store, so every output is byte-identical at
+//! any worker count.
+//!
 //! Everything derives from the engine seed: an N-thread multi-trial run
 //! produces byte-identical traffic statistics to a 1-thread run.
 
@@ -31,7 +48,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::backends::{BackendDispatch, BackendFleet, QueuedBackend};
+use crate::backends::{BackendDispatch, QueuedBackend, ServiceBackends};
 use crate::proxies::ProxyHandle;
 
 /// The backend behaviour of one service version under traffic: how long the
@@ -314,7 +331,7 @@ impl fmt::Display for TrafficHandle {
 /// One attached traffic stream: the materialised arrival plan, its batch
 /// index, the seeded RNG for backend behaviour, and the recorder feeding
 /// the metric store. The proxy VM's CPU is *not* part of the stream — the
-/// engine keys one [`CpuResource`] per service, so concurrent streams
+/// data plane keys one [`CpuResource`] per service, so concurrent streams
 /// through the same proxy contend for the same cores.
 pub(crate) struct TrafficStream {
     profile: TrafficProfile,
@@ -387,6 +404,11 @@ impl TrafficStream {
         self.profile.service
     }
 
+    /// The `service` label this stream's series are recorded under.
+    pub(crate) fn service_label(&self) -> &str {
+        &self.profile.service_label
+    }
+
     /// The proxy VM core count this stream's profile asks for.
     pub(crate) fn cores(&self) -> usize {
         self.profile.cores
@@ -402,17 +424,24 @@ impl TrafficStream {
         &self.stats
     }
 
+    /// The number of arrivals in the `batch`-th tick.
+    pub(crate) fn batch_len(&self, batch: usize) -> usize {
+        self.batches
+            .get(batch)
+            .map_or(0, |&(_, start, end)| end - start)
+    }
+
     /// Routes the `batch`-th tick's arrivals through `proxy` at virtual
     /// time `at` (the tick's window end), charging routing cost to the
     /// service's shared proxy `cpu`, dispatching primary *and* shadow
-    /// decisions into the service's backend servers in `fleet`, and
-    /// records the outcomes.
+    /// decisions into the service's backend `servers`, and records the
+    /// outcomes.
     pub(crate) fn route_batch(
         &mut self,
         batch: usize,
         proxy: &ProxyHandle,
         cpu: &mut CpuResource,
-        fleet: &mut BackendFleet,
+        servers: &mut ServiceBackends,
         at: SimTime,
     ) {
         let Some(&(_, start, end)) = self.batches.get(batch) else {
@@ -429,7 +458,6 @@ impl TrafficStream {
         // store locks per shard internally), so concurrent streams through
         // the same proxy no longer serialize on the handle.
         let routed = proxy.read().route_many_costed(self.scratch.iter());
-        let service = self.profile.service;
         for (arrival, (decision, cost)) in arrivals.iter().zip(&routed) {
             let receipt = cpu.submit(arrival.at, *cost);
             self.stats.proxy_busy += *cost;
@@ -445,7 +473,7 @@ impl TrafficStream {
                     ServeOutcome::Served,
                 ),
                 BackendModel::Queued(queued) => {
-                    let server = fleet.ensure(service, decision.primary, &queued);
+                    let server = servers.ensure(decision.primary, &queued);
                     match server.dispatch(receipt.completed, queued.service_time.mul_f64(jitter)) {
                         // Shed is an immediate rejection: the caller only
                         // pays the routing latency.
@@ -521,7 +549,7 @@ impl TrafficStream {
                     let demand = queued
                         .service_time
                         .mul_f64(0.9 + 0.2 * self.shadow_rng.uniform());
-                    let server = fleet.ensure(service, shadow.target, &queued);
+                    let server = servers.ensure(shadow.target, &queued);
                     if server.dispatch(receipt.completed, demand) == BackendDispatch::Shed {
                         self.stats.shadow_shed += 1;
                         self.recorder.observe_shed(label);
@@ -534,7 +562,7 @@ impl TrafficStream {
         // publish it per version; sampling also drains the replicas'
         // pending execution-interval lists. (With several streams on one
         // service, the first stream's tick consumes the window.)
-        for (version, server) in fleet.servers_of_mut(service) {
+        for (version, server) in servers.iter_mut() {
             let percent = server.sample_utilization(at);
             let label = self
                 .labels
