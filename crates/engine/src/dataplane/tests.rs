@@ -387,3 +387,104 @@ fn serial_outcomes_are_pinned() {
         assert_eq!(digest(&run(1, drive)), pin, "{drive:?}");
     }
 }
+
+#[test]
+fn streams_hold_no_more_arrivals_than_their_largest_tick() {
+    let mut engine = scenario(2).engine;
+    engine.run_to_completion(SimTime::from_secs(3_600));
+    for (index, stream) in engine.plane_mut().streams.iter().enumerate() {
+        let largest = (0..stream.batch_times().len())
+            .map(|batch| stream.batch_len(batch))
+            .max()
+            .unwrap();
+        let capacity = stream.arrivals_capacity();
+        assert!(
+            capacity <= largest,
+            "stream {index}: {capacity} > {largest}"
+        );
+        // Stream 6 targets service 6, which has no proxy: it never routes.
+        assert_eq!(capacity == 0, index == 6, "stream {index}");
+    }
+}
+
+#[test]
+fn ticks_skipped_before_a_late_proxy_leave_later_ticks_unchanged() {
+    let seed = Seed::new(21);
+    let registered = SimTime::from_millis(5_050);
+    let mut catalog = ServiceCatalog::new();
+    let service = catalog.add_service(Service::new("late"));
+    let mut version = |name: &str, host: &str| {
+        catalog
+            .add_version(service, ServiceVersion::new(name, Endpoint::new(host, 80)))
+            .unwrap()
+    };
+    let stable = version("v1", "10.1.0.1");
+    let canary = version("v2", "10.1.0.2");
+    let mut engine = BifrostEngine::new(EngineConfig::default().with_seed(seed));
+    let store = SharedMetricStore::new();
+    engine.register_store_provider("prometheus", store.clone());
+    let profile = TrafficProfile::new(service, load(300.0))
+        .with_tick(TICK)
+        .with_cores(2)
+        .with_service_label("late")
+        .with_backend(
+            stable,
+            "v1",
+            BackendProfile::healthy(Duration::from_millis(8)),
+        )
+        .with_backend(
+            canary,
+            "v2",
+            BackendProfile::defective(Duration::from_millis(6), 0.05),
+        );
+    let handle = engine.attach_traffic(profile.clone(), store.clone());
+    let mut processed = engine.run_until(registered);
+    assert_eq!(engine.traffic_stats(handle).unwrap().requests, 0);
+
+    engine.register_proxy(service, stable);
+    let canary_phase = PhaseSpec::canary(
+        "canary",
+        service,
+        stable,
+        canary,
+        Percentage::new(30.0).unwrap(),
+    )
+    .duration_secs(10);
+    let strategy = StrategyBuilder::new("late-canary", catalog)
+        .phase(canary_phase)
+        .build()
+        .unwrap();
+    engine.schedule(strategy, SimTime::from_secs(10));
+    processed += engine.run_to_completion(SimTime::from_secs(3_600));
+
+    let stats = engine.traffic_stats(handle).unwrap().clone();
+    let plan = profile.load().plan_seeded(seed.stream("traffic-0"));
+    let later: Vec<_> = plan.batches(TICK).filter(|b| b.end > registered).collect();
+    assert_eq!(stats.ticks, later.len() as u64);
+    let later_requests: usize = later.iter().map(|b| b.arrivals.len()).sum();
+    assert_eq!(stats.requests, later_requests as u64);
+    assert!(stats.per_version.get(&canary).is_some_and(|&n| n > 0));
+
+    let outcome = Outcome {
+        processed,
+        now: engine.now(),
+        stats: vec![stats],
+        events: engine.events().clone(),
+        store: store.snapshot(),
+        backends: Vec::new(),
+        proxies: vec![engine.proxy(service).unwrap().read().stats()],
+    };
+    // Captured with the stream that sliced each tick from its materialised
+    // arrival plan.
+    let pinned = [
+        308,
+        30_000_000,
+        7_464,
+        191,
+        14_645_587_416_460_355_367,
+        9,
+        3_058,
+        17_732_996_005_104_905_326,
+    ];
+    assert_eq!(digest(&outcome), pinned);
+}

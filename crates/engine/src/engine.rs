@@ -183,12 +183,15 @@ impl BifrostEngine {
         self.proxies.handle(service)
     }
 
-    /// Attaches a request-level traffic stream: the profile's arrival plan
-    /// is materialised from the engine seed, batched per virtual-time tick,
-    /// and every batch is routed through the target service's proxy as the
-    /// engine advances — recording the observed per-version series into
+    /// Attaches a request-level traffic stream: the profile's arrivals,
+    /// seeded from the engine seed, are grouped per virtual-time tick, and
+    /// every tick's batch is routed through the target service's proxy as
+    /// the engine advances — recording the observed per-version series into
     /// `store` (register the same store as a provider so checks see them).
-    /// Returns a handle for querying the stream's statistics.
+    /// The stream keeps a checkpoint per non-empty tick and regenerates a
+    /// tick's arrivals when it is routed, so it never holds the whole
+    /// arrival plan (see [`crate::traffic`]). Returns a handle for querying
+    /// the stream's statistics.
     ///
     /// Streams targeting the same service share that service's proxy-VM
     /// CPU (the first attached profile sizes it), so concurrent streams

@@ -5,11 +5,19 @@
 //! metric-based checks decide state transitions. This module is the
 //! substrate that makes the simulated engine do the same. A
 //! [`TrafficProfile`] attaches a [`bifrost_workload::LoadProfile`] to a
-//! service; the engine materialises the arrival plan from its seed, groups
-//! the arrivals into per-tick batches ([`bifrost_workload::ArrivalPlan::batches`]),
-//! and schedules one `TrafficTick` engine event per non-empty tick. Each
-//! tick routes its batch through the service's proxy under a shared read
-//! lock ([`bifrost_proxy::BifrostProxy::route_many_costed`] — the
+//! service. At attach the engine draws the profile's seeded arrivals once
+//! ([`bifrost_workload::ArrivalCursor::ticks`]) and keeps, for each
+//! non-empty tick, only its end, its arrival count and the generator state
+//! before its first arrival; it schedules one `TrafficTick` engine event
+//! per non-empty tick. Each tick regenerates its arrivals from that
+//! checkpoint into a buffer reused across ticks, so a stream holds memory
+//! in proportion to its ticks and its largest tick, not to its requests.
+//! The arrivals equal the tick's batch of
+//! [`bifrost_workload::ArrivalPlan::batches`] over the same seed. Any tick
+//! regenerates on its own, so generation runs on the data plane's workers
+//! and skipped ticks (a service with no proxy yet) leave later ticks
+//! unchanged. Each tick routes its batch through the service's proxy under
+//! a shared read lock ([`bifrost_proxy::BifrostProxy::route_many_costed`] — the
 //! compiled-config hot path, which partitions the batch by session shard
 //! and takes one striped lock per touched shard instead of a global
 //! one), charges every request's routing cost to the
@@ -43,7 +51,7 @@ use bifrost_core::seed::Seed;
 use bifrost_metrics::{SharedMetricStore, TrafficSeriesRecorder};
 use bifrost_proxy::ProxyRequest;
 use bifrost_simnet::{CpuResource, SimRng, SimTime};
-use bifrost_workload::{ArrivalPlan, LoadProfile};
+use bifrost_workload::{Arrival, LoadProfile, TickCheckpoint};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
@@ -328,17 +336,21 @@ impl fmt::Display for TrafficHandle {
     }
 }
 
-/// One attached traffic stream: the materialised arrival plan, its batch
-/// index, the seeded RNG for backend behaviour, and the recorder feeding
-/// the metric store. The proxy VM's CPU is *not* part of the stream — the
-/// data plane keys one [`CpuResource`] per service, so concurrent streams
-/// through the same proxy contend for the same cores.
+/// One attached traffic stream: its per-tick arrival schedule, the buffer
+/// each tick's arrivals are regenerated into, the seeded RNG for backend
+/// behaviour, and the recorder feeding the metric store. The proxy VM's
+/// CPU is *not* part of the stream — the data plane keys one
+/// [`CpuResource`] per service, so concurrent streams through the same
+/// proxy contend for the same cores.
 pub(crate) struct TrafficStream {
     profile: TrafficProfile,
-    arrivals: ArrivalPlan,
-    /// `(tick end, start index, end index)` per non-empty tick, precomputed
-    /// from [`ArrivalPlan::batches`] so each engine event is a slice lookup.
-    batches: Vec<(SimTime, usize, usize)>,
+    /// One entry per non-empty tick: its end, its arrival count and the
+    /// generator state before its first arrival.
+    ticks: Vec<TickCheckpoint>,
+    /// The arrivals of the tick being routed, regenerated from its
+    /// checkpoint. Reused across ticks, so it never holds more than the
+    /// largest tick.
+    arrivals: Vec<Arrival>,
     rng: SimRng,
     /// A separate seeded RNG for shadow service-demand draws, so the
     /// presence or share of a dark launch never perturbs the primary
@@ -359,9 +371,10 @@ pub(crate) struct TrafficStream {
 }
 
 impl TrafficStream {
-    /// Materialises a stream from its profile and the engine seed. The
-    /// arrival plan derives from the seed's `"traffic"` stream (namespaced
-    /// by stream index so two streams never replay the same sequence).
+    /// Builds a stream from its profile and the engine seed. Its arrivals
+    /// derive from the seed's `"traffic"` stream (namespaced by stream
+    /// index so two streams never replay the same sequence); one pass over
+    /// them records each non-empty tick's checkpoint and keeps no arrival.
     pub(crate) fn new(
         profile: TrafficProfile,
         index: usize,
@@ -369,17 +382,10 @@ impl TrafficStream {
         store: SharedMetricStore,
     ) -> Self {
         let stream_seed = seed.stream(&format!("traffic-{index}"));
-        let arrivals = profile.load.plan_seeded(stream_seed);
-        // Batches partition the plan in order, so index ranges follow from a
-        // running cursor over the batch sizes.
-        let mut cursor = 0usize;
-        let batches = arrivals
-            .batches(profile.tick)
-            .map(|batch| {
-                let start = cursor;
-                cursor += batch.arrivals.len();
-                (batch.end, start, cursor)
-            })
+        let ticks = profile
+            .load
+            .cursor_seeded(stream_seed)
+            .ticks(profile.tick)
             .collect();
         let mut recorder = TrafficSeriesRecorder::new(store, profile.service_label.clone());
         recorder.register_versions(
@@ -390,8 +396,8 @@ impl TrafficStream {
             rng: SimRng::seeded(stream_seed.stream("backends").value()),
             shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
             recorder,
-            arrivals,
-            batches,
+            ticks,
+            arrivals: Vec::new(),
             labels: profile.version_labels.clone(),
             profile,
             stats: TrafficStats::default(),
@@ -416,7 +422,7 @@ impl TrafficStream {
 
     /// The tick end times of every non-empty batch, for scheduling.
     pub(crate) fn batch_times(&self) -> Vec<SimTime> {
-        self.batches.iter().map(|(end, _, _)| *end).collect()
+        self.ticks.iter().map(|tick| tick.end).collect()
     }
 
     /// The aggregate statistics so far.
@@ -426,16 +432,20 @@ impl TrafficStream {
 
     /// The number of arrivals in the `batch`-th tick.
     pub(crate) fn batch_len(&self, batch: usize) -> usize {
-        self.batches
-            .get(batch)
-            .map_or(0, |&(_, start, end)| end - start)
+        self.ticks.get(batch).map_or(0, |tick| tick.count)
     }
 
-    /// Routes the `batch`-th tick's arrivals through `proxy` at virtual
-    /// time `at` (the tick's window end), charging routing cost to the
-    /// service's shared proxy `cpu`, dispatching primary *and* shadow
-    /// decisions into the service's backend `servers`, and records the
-    /// outcomes.
+    /// The capacity of the regenerated-arrivals buffer.
+    #[cfg(test)]
+    pub(crate) fn arrivals_capacity(&self) -> usize {
+        self.arrivals.capacity()
+    }
+
+    /// Regenerates the `batch`-th tick's arrivals from its checkpoint and
+    /// routes them through `proxy` at virtual time `at` (the tick's window
+    /// end), charging routing cost to the service's shared proxy `cpu`,
+    /// dispatching primary *and* shadow decisions into the service's
+    /// backend `servers`, and records the outcomes.
     pub(crate) fn route_batch(
         &mut self,
         batch: usize,
@@ -444,10 +454,14 @@ impl TrafficStream {
         servers: &mut ServiceBackends,
         at: SimTime,
     ) {
-        let Some(&(_, start, end)) = self.batches.get(batch) else {
+        let Some(tick) = self.ticks.get(batch) else {
             return;
         };
-        let arrivals = &self.arrivals.arrivals()[start..end];
+        self.arrivals.clear();
+        self.arrivals.reserve_exact(tick.count);
+        self.arrivals
+            .extend(self.profile.load.resume(&tick.start).take(tick.count));
+        let arrivals = &self.arrivals;
         self.scratch.clear();
         self.scratch.extend(
             arrivals
@@ -619,7 +633,7 @@ impl fmt::Debug for TrafficStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TrafficStream")
             .field("service", &self.profile.service)
-            .field("batches", &self.batches.len())
+            .field("batches", &self.ticks.len())
             .field("requests", &self.stats.requests)
             .finish()
     }

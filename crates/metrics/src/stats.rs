@@ -30,6 +30,11 @@ impl SummaryStats {
         if values.is_empty() {
             return None;
         }
+        Some(Self::with_sorted(values, &sorted_copy(values)))
+    }
+
+    /// The statistics of `values`, given the same values sorted.
+    fn with_sorted(values: &[f64], sorted: &[f64]) -> Self {
         let count = values.len();
         let mean = values.iter().sum::<f64>() / count as f64;
         let min = values.iter().copied().fold(f64::INFINITY, f64::min);
@@ -41,21 +46,19 @@ impl SummaryStats {
         } else {
             0.0
         };
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
         let median = if count % 2 == 1 {
             sorted[count / 2]
         } else {
             (sorted[count / 2 - 1] + sorted[count / 2]) / 2.0
         };
-        Some(Self {
+        Self {
             count,
             mean,
             min,
             max,
             sd,
             median,
-        })
+        }
     }
 
     /// Computes the given percentile (0–100) of a sample using
@@ -64,11 +67,27 @@ impl SummaryStats {
         if values.is_empty() {
             return None;
         }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        let rank = (percentile / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank.min(sorted.len() - 1)])
+        let sorted = sorted_copy(values);
+        Some(sorted[nearest_rank(sorted.len(), percentile)])
     }
+}
+
+/// The index of the `percentile` (0–100) in a sorted sample of `len > 0`
+/// values, by nearest rank: the rank [`SummaryStats::percentile`] reads.
+pub(crate) fn nearest_rank(len: usize, percentile: f64) -> usize {
+    let rank = (percentile / 100.0 * (len - 1) as f64).round() as usize;
+    rank.min(len - 1)
+}
+
+/// The order every percentile here sorts by. Panics on `NaN`.
+pub(crate) fn sample_order(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("finite values")
+}
+
+fn sorted_copy(values: &[f64]) -> Vec<f64> {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(sample_order);
+    sorted
 }
 
 /// Summary of a sample distribution including tail percentiles — the
@@ -95,15 +114,19 @@ pub struct DistributionSummary {
 impl DistributionSummary {
     /// Computes the summary. Returns `None` for an empty slice.
     pub fn compute(values: &[f64]) -> Option<Self> {
-        let base = SummaryStats::compute(values)?;
+        if values.is_empty() {
+            return None;
+        }
+        let sorted = sorted_copy(values);
+        let base = SummaryStats::with_sorted(values, &sorted);
         Some(Self {
             count: base.count,
             mean: base.mean,
             sd: base.sd,
             min: base.min,
             max: base.max,
-            p50: SummaryStats::percentile(values, 50.0)?,
-            p95: SummaryStats::percentile(values, 95.0)?,
+            p50: sorted[nearest_rank(sorted.len(), 50.0)],
+            p95: sorted[nearest_rank(sorted.len(), 95.0)],
         })
     }
 }

@@ -26,7 +26,7 @@
 //! simulated application traffic and engine-driven request-level traffic.
 
 use crate::sample::{Sample, SeriesKey, TimestampMs};
-use crate::stats::DistributionSummary;
+use crate::stats::{nearest_rank, sample_order};
 use crate::store::SharedMetricStore;
 use std::collections::BTreeMap;
 
@@ -171,7 +171,7 @@ impl TrafficSeriesRecorder {
     /// virtual time `at`, then clears the window.
     pub fn flush(&mut self, at: TimestampMs) {
         let mut samples: Vec<(SeriesKey, Sample)> = Vec::new();
-        for (version, acc) in std::mem::take(&mut self.window) {
+        for (version, mut acc) in std::mem::take(&mut self.window) {
             let requests = {
                 let total = self.request_totals.entry(version.clone()).or_insert(0.0);
                 *total += acc.requests as f64;
@@ -193,14 +193,14 @@ impl TrafficSeriesRecorder {
                     Sample::new(at, acc.latency_ms_sum / acc.requests as f64),
                 ));
             }
-            if let Some(summary) = DistributionSummary::compute(&acc.latencies_ms) {
+            if let Some((p50, p95)) = window_quantiles(&mut acc.latencies_ms) {
                 samples.push((
                     self.key(REQUEST_LATENCY_P50_MS, &version),
-                    Sample::new(at, summary.p50),
+                    Sample::new(at, p50),
                 ));
                 samples.push((
                     self.key(REQUEST_LATENCY_P95_MS, &version),
-                    Sample::new(at, summary.p95),
+                    Sample::new(at, p95),
                 ));
             }
         }
@@ -264,10 +264,30 @@ impl TrafficSeriesRecorder {
     }
 }
 
+/// The p50 and p95 of a window's latencies, equal to those of
+/// [`crate::DistributionSummary::compute`]: p95 is selected in place, then
+/// p50 among the values at or below it, instead of sorting the window.
+/// `None` for an empty window.
+fn window_quantiles(latencies_ms: &mut [f64]) -> Option<(f64, f64)> {
+    if latencies_ms.is_empty() {
+        return None;
+    }
+    let len = latencies_ms.len();
+    let (p50_rank, p95_rank) = (nearest_rank(len, 50.0), nearest_rank(len, 95.0));
+    let (below, &mut p95, _) = latencies_ms.select_nth_unstable_by(p95_rank, sample_order);
+    let p50 = if p50_rank == p95_rank {
+        p95
+    } else {
+        *below.select_nth_unstable_by(p50_rank, sample_order).1
+    };
+    Some((p50, p95))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{Aggregation, RangeQuery};
+    use crate::stats::DistributionSummary;
 
     fn last(store: &SharedMetricStore, metric: &str, version: &str, at_secs: u64) -> Option<f64> {
         store.evaluate(
@@ -325,6 +345,50 @@ mod tests {
         recorder.flush(TimestampMs::from_secs(2));
         recorder.flush(TimestampMs::from_secs(3));
         assert_eq!(last(&store, REQUESTS_SHED_TOTAL, "v1", 5), Some(3.0));
+    }
+
+    #[test]
+    fn window_quantiles_equal_the_distribution_summary() {
+        // SplitMix64, so the windows need no RNG dependency.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut lengths = vec![1, 2, 3, 4, 5, 20, 21, 100, 101, 4_999, 5_000];
+        lengths.extend((0..40).map(|_| 1 + (next() % 5_000) as usize));
+        assert!(lengths.iter().any(|n| n % 2 == 0) && lengths.iter().any(|n| n % 2 == 1));
+        let store = SharedMetricStore::new();
+        let mut recorder = TrafficSeriesRecorder::new(store.clone(), "search");
+        for (second, &len) in (1..).zip(&lengths) {
+            // Every other window draws from 16 values, so it is full of
+            // duplicates.
+            let window: Vec<f64> = (0..len)
+                .map(|_| match second % 2 {
+                    0 => (next() % 16) as f64 * 2.5,
+                    _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 400.0,
+                })
+                .collect();
+            for &latency in &window {
+                recorder.observe_request("v1", latency, true);
+            }
+            recorder.flush(TimestampMs::from_secs(second));
+            let summary = DistributionSummary::compute(&window).unwrap();
+            let published = |metric| last(&store, metric, "v1", second).unwrap().to_bits();
+            assert_eq!(
+                published(REQUEST_LATENCY_P50_MS),
+                summary.p50.to_bits(),
+                "{len}"
+            );
+            assert_eq!(
+                published(REQUEST_LATENCY_P95_MS),
+                summary.p95.to_bits(),
+                "{len}"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@ use std::fmt;
 /// A seeded random source used for jitter, traffic sampling, and synthetic
 /// workloads. Wrapping [`StdRng`] behind a small facade keeps call sites
 /// independent of the `rand` API and makes every experiment reproducible.
+/// A clone continues the same sequence from the same point, which is how a
+/// seeded generator is checkpointed and later resumed.
+#[derive(Clone)]
 pub struct SimRng {
     rng: StdRng,
     seed: u64,
@@ -87,6 +90,17 @@ mod tests {
             assert_eq!(a.uniform(), b.uniform());
         }
         assert_eq!(a.seed(), 42);
+    }
+
+    #[test]
+    fn a_clone_resumes_the_sequence() {
+        let mut rng = SimRng::seeded(42);
+        rng.uniform();
+        let mut resumed = rng.clone();
+        for _ in 0..100 {
+            assert_eq!(rng.uniform().to_bits(), resumed.uniform().to_bits());
+        }
+        assert_eq!(resumed.seed(), 42);
     }
 
     #[test]

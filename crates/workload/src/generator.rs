@@ -51,37 +51,13 @@ impl LoadProfile {
         self
     }
 
-    /// Generates the full arrival plan for the profile.
+    /// Generates the full arrival plan for the profile: a `collect()` over
+    /// [`LoadProfile::cursor`]. On return `rng` has advanced past every draw
+    /// the plan made.
     pub fn plan(&self, rng: &mut SimRng) -> ArrivalPlan {
-        let mut arrivals = Vec::new();
-        let mut now = 0.0f64;
-        let end = self.duration.as_secs_f64();
-        let ramp = self.ramp_up.as_secs_f64();
-        while now < end {
-            // Current target rate: linear ramp, then steady state.
-            let rate = if now < ramp && ramp > 0.0 {
-                (self.requests_per_second * (now / ramp)).max(1.0)
-            } else {
-                self.requests_per_second
-            };
-            let gap = if self.poisson_arrivals {
-                rng.exponential(1.0 / rate)
-            } else {
-                1.0 / rate
-            };
-            now += gap;
-            if now >= end {
-                break;
-            }
-            let kind = self.mix.sample(rng);
-            let user =
-                UserId::new((rng.uniform() * self.user_count as f64) as u64 % self.user_count);
-            arrivals.push(Arrival {
-                at: SimTime::from_secs_f64(now),
-                kind,
-                user,
-            });
-        }
+        let mut cursor = self.cursor(rng.clone());
+        let arrivals = cursor.by_ref().collect();
+        *rng = cursor.state.rng;
         ArrivalPlan { arrivals }
     }
 
@@ -90,8 +66,169 @@ impl LoadProfile {
     /// uses: the same seed always yields the same plan, and different layers
     /// seeded from the same trial seed consume distinct random sequences.
     pub fn plan_seeded(&self, seed: Seed) -> ArrivalPlan {
-        let mut rng = SimRng::seeded(seed.stream("workload").value());
-        self.plan(&mut rng)
+        ArrivalPlan {
+            arrivals: self.cursor_seeded(seed).collect(),
+        }
+    }
+
+    /// The profile's arrivals, generated one at a time from `rng`, in the
+    /// order and with the draws of [`LoadProfile::plan`].
+    pub fn cursor(&self, rng: SimRng) -> ArrivalCursor<'_> {
+        self.resume(&ArrivalCheckpoint { rng, now: 0.0 })
+    }
+
+    /// The arrivals of [`LoadProfile::plan_seeded`], generated one at a
+    /// time.
+    pub fn cursor_seeded(&self, seed: Seed) -> ArrivalCursor<'_> {
+        self.cursor(SimRng::seeded(seed.stream("workload").value()))
+    }
+
+    /// Resumes generation at `checkpoint`, taken by
+    /// [`ArrivalCursor::checkpoint`] on a cursor over this profile: the
+    /// result yields exactly what that cursor yielded after the checkpoint.
+    pub fn resume(&self, checkpoint: &ArrivalCheckpoint) -> ArrivalCursor<'_> {
+        ArrivalCursor {
+            profile: self,
+            state: checkpoint.clone(),
+        }
+    }
+}
+
+/// The generator state between two arrivals: the random source and the
+/// virtual clock (seconds) of the last arrival. Resuming from it replays
+/// the same arrivals without generating the ones before it.
+#[derive(Debug, Clone)]
+pub struct ArrivalCheckpoint {
+    rng: SimRng,
+    now: f64,
+}
+
+/// A profile's arrivals, generated lazily in time order (see
+/// [`LoadProfile::cursor`]). It holds no arrivals, so a profile of any
+/// length streams in constant memory.
+#[derive(Debug, Clone)]
+pub struct ArrivalCursor<'a> {
+    profile: &'a LoadProfile,
+    state: ArrivalCheckpoint,
+}
+
+impl<'a> ArrivalCursor<'a> {
+    /// The state before the next arrival, for [`LoadProfile::resume`].
+    pub fn checkpoint(&self) -> ArrivalCheckpoint {
+        self.state.clone()
+    }
+
+    /// Groups the remaining arrivals into per-tick [`TickCheckpoint`]s: one
+    /// per non-empty `tick`-sized window, as [`ArrivalPlan::batches`]
+    /// groups a plan, with the state before the window's first arrival in
+    /// place of the arrivals.
+    pub fn ticks(self, tick: Duration) -> TickCheckpoints<'a> {
+        TickCheckpoints {
+            cursor: self,
+            tick_micros: tick.as_micros().max(1) as u64,
+            pending: None,
+        }
+    }
+}
+
+impl Iterator for ArrivalCursor<'_> {
+    type Item = Arrival;
+
+    fn next(&mut self) -> Option<Arrival> {
+        let profile = self.profile;
+        let state = &mut self.state;
+        let end = profile.duration.as_secs_f64();
+        if state.now >= end {
+            return None;
+        }
+        let ramp = profile.ramp_up.as_secs_f64();
+        // Current target rate: linear ramp, then steady state.
+        let rate = if state.now < ramp && ramp > 0.0 {
+            (profile.requests_per_second * (state.now / ramp)).max(1.0)
+        } else {
+            profile.requests_per_second
+        };
+        let gap = if profile.poisson_arrivals {
+            state.rng.exponential(1.0 / rate)
+        } else {
+            1.0 / rate
+        };
+        state.now += gap;
+        if state.now >= end {
+            return None;
+        }
+        let kind = profile.mix.sample(&mut state.rng);
+        let user = UserId::new(
+            (state.rng.uniform() * profile.user_count as f64) as u64 % profile.user_count,
+        );
+        Some(Arrival {
+            at: SimTime::from_secs_f64(state.now),
+            kind,
+            user,
+        })
+    }
+}
+
+/// One non-empty tick of a profile's arrivals, without the arrivals:
+/// `profile.resume(&start).take(count)` regenerates them.
+#[derive(Debug, Clone)]
+pub struct TickCheckpoint {
+    /// The tick index (`floor(arrival time / tick)`).
+    pub index: u64,
+    /// The end of the tick window (exclusive).
+    pub end: SimTime,
+    /// The number of arrivals in the tick.
+    pub count: usize,
+    /// The generator state before the tick's first arrival.
+    pub start: ArrivalCheckpoint,
+}
+
+/// Iterator over the non-empty ticks of an [`ArrivalCursor`] (see
+/// [`ArrivalCursor::ticks`]). It draws every arrival once and keeps none.
+#[derive(Debug, Clone)]
+pub struct TickCheckpoints<'a> {
+    cursor: ArrivalCursor<'a>,
+    tick_micros: u64,
+    /// The next tick's first arrival and the state before it, read ahead
+    /// to close the current tick.
+    pending: Option<(ArrivalCheckpoint, Arrival)>,
+}
+
+impl TickCheckpoints<'_> {
+    /// The next arrival and the state before it.
+    fn step(&mut self) -> Option<(ArrivalCheckpoint, Arrival)> {
+        let before = self.cursor.checkpoint();
+        self.cursor.next().map(|arrival| (before, arrival))
+    }
+}
+
+impl Iterator for TickCheckpoints<'_> {
+    type Item = TickCheckpoint;
+
+    fn next(&mut self) -> Option<TickCheckpoint> {
+        let (start, first) = match self.pending.take() {
+            Some(pending) => pending,
+            None => self.step()?,
+        };
+        let index = first.at.as_micros() / self.tick_micros;
+        let mut count = 1;
+        loop {
+            match self.step() {
+                Some((_, arrival)) if arrival.at.as_micros() / self.tick_micros == index => {
+                    count += 1;
+                }
+                next => {
+                    self.pending = next;
+                    break;
+                }
+            }
+        }
+        Some(TickCheckpoint {
+            index,
+            end: SimTime::from_micros((index + 1) * self.tick_micros),
+            count,
+            start,
+        })
     }
 }
 
@@ -130,9 +267,10 @@ impl ArrivalPlan {
 
     /// Iterates the plan as per-tick batches: consecutive arrivals whose
     /// timestamps fall into the same `tick`-sized window are grouped into
-    /// one [`ArrivalBatch`]. Empty windows are skipped. This is how the
-    /// engine's traffic simulation consumes a plan — one scheduler event
-    /// per non-empty tick instead of one per request.
+    /// one [`ArrivalBatch`]. Empty windows are skipped. The batches are
+    /// the ticks [`ArrivalCursor::ticks`] checkpoints over the same
+    /// generator, which is how the engine's traffic simulation consumes a
+    /// profile without holding its plan.
     pub fn batches(&self, tick: Duration) -> TickBatches<'_> {
         TickBatches {
             arrivals: &self.arrivals,
@@ -322,6 +460,108 @@ mod tests {
             arrivals: Vec::new(),
         };
         assert_eq!(empty.batches(tick).count(), 0);
+    }
+
+    /// Regenerates the ticks at `order` (indices into `ticks`) from their
+    /// checkpoints.
+    fn regenerate(
+        profile: &LoadProfile,
+        ticks: &[TickCheckpoint],
+        order: &[usize],
+    ) -> Vec<(u64, SimTime, Vec<Arrival>)> {
+        order
+            .iter()
+            .map(|&i| {
+                let tick = &ticks[i];
+                let arrivals = profile.resume(&tick.start).take(tick.count).collect();
+                (tick.index, tick.end, arrivals)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ticks_regenerate_from_checkpoints_in_any_order() {
+        let ramped = LoadProfile::paper_profile(Duration::from_secs(60)).with_rate(50.0);
+        let steady = LoadProfile {
+            ramp_up: Duration::ZERO,
+            ..ramped.clone()
+        };
+        // Under one request per second on 1 s ticks, so most ticks are
+        // empty.
+        let sparse = LoadProfile {
+            requests_per_second: 0.3,
+            ramp_up: Duration::ZERO,
+            duration: Duration::from_secs(200),
+            poisson_arrivals: true,
+            ..ramped.clone()
+        };
+        let mut profiles = vec![sparse];
+        for base in [ramped, steady] {
+            for poisson_arrivals in [true, false] {
+                profiles.push(LoadProfile {
+                    poisson_arrivals,
+                    ..base.clone()
+                });
+            }
+        }
+        let ticks = [1, 100, 1_000, 3_600_000].map(Duration::from_millis);
+        for (p, profile) in profiles.iter().enumerate() {
+            for seed in [3, 11] {
+                let seed = Seed::new(seed);
+                let plan = profile.plan_seeded(seed);
+                for tick in ticks {
+                    let expected: Vec<_> = plan
+                        .batches(tick)
+                        .map(|b| (b.index, b.end, b.arrivals.to_vec()))
+                        .collect();
+                    let checkpoints: Vec<_> = profile.cursor_seeded(seed).ticks(tick).collect();
+                    let n = checkpoints.len();
+                    assert_eq!(n, expected.len(), "profile {p}, tick {tick:?}");
+                    let forward: Vec<usize> = (0..n).collect();
+                    assert_eq!(regenerate(profile, &checkpoints, &forward), expected);
+                    let reversed: Vec<usize> = (0..n).rev().collect();
+                    let mut backwards = regenerate(profile, &checkpoints, &reversed);
+                    backwards.reverse();
+                    assert_eq!(backwards, expected);
+                    // Every third tick, starting at the second: the ticks
+                    // skipped before each one leave it unchanged.
+                    let skipping: Vec<usize> = (1..n).step_by(3).collect();
+                    let picked: Vec<_> = skipping.iter().map(|&i| expected[i].clone()).collect();
+                    assert_eq!(regenerate(profile, &checkpoints, &skipping), picked);
+                }
+                // The sparse profile leaves ticks empty, and empty ticks get
+                // no checkpoint.
+                if p == 0 {
+                    let second: Vec<_> = profile
+                        .cursor_seeded(seed)
+                        .ticks(Duration::from_secs(1))
+                        .collect();
+                    assert!(second.len() < second.last().unwrap().index as usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursors_follow_the_plans_draws() {
+        let profile = LoadProfile {
+            poisson_arrivals: true,
+            ..LoadProfile::paper_profile(Duration::from_secs(40))
+        };
+        let mut rng = SimRng::seeded(4);
+        let plan = profile.plan(&mut rng);
+        let mut cursor = profile.cursor(SimRng::seeded(4));
+        assert_eq!(cursor.by_ref().collect::<Vec<_>>(), plan.arrivals());
+        assert_eq!(cursor.next(), None);
+        // `plan` leaves its generator where the cursor left its own.
+        let mut after = cursor.checkpoint().rng;
+        assert_eq!(rng.uniform().to_bits(), after.uniform().to_bits());
+        // A checkpoint taken midway resumes the rest of the plan.
+        let mut cursor = profile.cursor_seeded(Seed::new(4));
+        let plan = profile.plan_seeded(Seed::new(4));
+        cursor.by_ref().take(100).for_each(drop);
+        let rest: Vec<_> = profile.resume(&cursor.checkpoint()).collect();
+        assert_eq!(rest, plan.arrivals()[100..]);
     }
 
     #[test]

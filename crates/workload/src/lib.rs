@@ -18,13 +18,19 @@ pub mod generator;
 pub mod recorder;
 pub mod requests;
 
-pub use generator::{Arrival, ArrivalBatch, ArrivalPlan, LoadProfile, TickBatches};
+pub use generator::{
+    Arrival, ArrivalBatch, ArrivalCheckpoint, ArrivalCursor, ArrivalPlan, LoadProfile, TickBatches,
+    TickCheckpoint, TickCheckpoints,
+};
 pub use recorder::{PhaseWindow, ResponseRecord, ResponseRecorder};
 pub use requests::{RequestKind, RequestMix};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::generator::{Arrival, ArrivalBatch, ArrivalPlan, LoadProfile, TickBatches};
+    pub use crate::generator::{
+        Arrival, ArrivalBatch, ArrivalCheckpoint, ArrivalCursor, ArrivalPlan, LoadProfile,
+        TickBatches, TickCheckpoint, TickCheckpoints,
+    };
     pub use crate::recorder::{PhaseWindow, ResponseRecord, ResponseRecorder};
     pub use crate::requests::{RequestKind, RequestMix};
 }
