@@ -33,8 +33,9 @@ const USAGE: &str = "usage: experiments <fig6|table1|fig7|fig8|fig9|fig10|traffi
 experiments gate --candidate <report.json> --baseline <baseline.json> [--threshold 0.2]\n       \
 experiments list-points <figure>\n       \
 experiments check-baselines [dir]      validate every baseline*.json in dir (default crates/bench)\n\n\
---trials and --threads must be at least 1; --threads defaults to the machine's\n\
-available parallelism (thread count never changes any result).";
+--max, --requests, --trials and --threads must be at least 1 and --threshold a\n\
+finite number >= 0; --threads defaults to the machine's available parallelism\n\
+(thread count never changes any result).";
 
 /// Parsed command-line options shared by the figure commands.
 struct Options {
@@ -57,26 +58,38 @@ fn value_of(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parses a count flag that must be at least 1 when given: an explicit 0
-/// (or garbage) is a usage error, not a silently clamped degenerate run.
-fn parse_count(args: &[String], flag: &str) -> Option<usize> {
-    let value = value_of(args, flag)?;
-    match value.parse::<usize>() {
-        Ok(parsed) if parsed >= 1 => Some(parsed),
+/// Parses a flag's value when the flag is given. A missing, malformed or
+/// invalid value is a usage error (exit 2), never a silent fall-back to
+/// the default.
+fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let index = args.iter().position(|a| a == flag)?;
+    let value = args.get(index + 1).map_or("", String::as_str);
+    match value.parse::<T>() {
+        Ok(parsed) if valid(&parsed) => Some(parsed),
         _ => {
-            eprintln!("{flag} must be a positive integer, got '{value}'\n{USAGE}");
+            eprintln!("{flag} must be {expected}, got '{value}'\n{USAGE}");
             std::process::exit(2);
         }
     }
 }
 
+/// Parses a count flag that must be at least 1 when given: an explicit 0
+/// is a usage error, not a silently clamped degenerate run.
+fn parse_count(args: &[String], flag: &str) -> Option<usize> {
+    parse_flag(args, flag, "a positive integer", |&count| count >= 1)
+}
+
 fn parse_options(args: &[String]) -> Options {
-    let parse = |flag: &str| value_of(args, flag).and_then(|v| v.parse::<usize>().ok());
     let json = args
         .iter()
         .position(|a| a == "--json")
         .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned());
-    let base_seed = value_of(args, "--base-seed").and_then(|v| v.parse::<u64>().ok());
+    let base_seed = parse_flag::<u64>(args, "--base-seed", "a non-negative integer", |_| true);
     let trials = parse_count(args, "--trials").unwrap_or(1);
     // Trials are seed-deterministic and independent, so the only sensible
     // default is to use the machine (run_trials caps workers at the trial
@@ -84,8 +97,8 @@ fn parse_options(args: &[String]) -> Options {
     let threads = parse_count(args, "--threads").unwrap_or_else(RunnerConfig::auto_threads);
     Options {
         quick: args.iter().any(|a| a == "--quick"),
-        max: parse("--max"),
-        requests: parse("--requests"),
+        max: parse_count(args, "--max"),
+        requests: parse_count(args, "--requests"),
         runner: RunnerConfig::default()
             .with_trials(trials)
             .with_threads(threads)
@@ -178,9 +191,10 @@ fn run_gate(args: &[String]) -> ! {
             std::process::exit(2);
         })
     };
-    let threshold = value_of(args, "--threshold")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.2);
+    let threshold = parse_flag(args, "--threshold", "a finite number >= 0", |t: &f64| {
+        t.is_finite() && *t >= 0.0
+    })
+    .unwrap_or(0.2);
     let candidate = load("--candidate");
     let baseline = load("--baseline");
     let result = bifrost_bench::gate(&candidate, &baseline, threshold);

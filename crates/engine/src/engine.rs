@@ -51,10 +51,11 @@ pub struct EngineConfig {
     /// [`bifrost_core::TrialConfig`] seed and the whole run is reproducible.
     pub seed: Seed,
     /// How many ways every registered proxy shards its sticky-session
-    /// table (striped locks + smaller per-shard trees; see
-    /// [`bifrost_proxy::SessionStore`]). Routed decisions and reported
-    /// statistics are identical for every shard count — the knob only
-    /// moves the routing hot path's scalability.
+    /// table (see [`bifrost_proxy::SessionStore`]). Routed decisions and
+    /// reported statistics are identical for every shard count. Each
+    /// service's proxy is driven by one data-plane lane, so the count moves
+    /// only the depth of the per-shard trees and how many shard locks a
+    /// tick's bindings take, not lock contention.
     pub session_shards: usize,
 }
 

@@ -16,11 +16,9 @@
 //! [`bifrost_workload::ArrivalPlan::batches`] over the same seed. Any tick
 //! regenerates on its own, so generation runs on the data plane's workers
 //! and skipped ticks (a service with no proxy yet) leave later ticks
-//! unchanged. Each tick routes its batch through the service's proxy under
-//! a shared read lock ([`bifrost_proxy::BifrostProxy::route_many_costed`] — the
-//! compiled-config hot path, which partitions the batch by session shard
-//! and takes one striped lock per touched shard instead of a global
-//! one), charges every request's routing cost to the
+//! unchanged. Each tick routes its batch through the service's proxy in
+//! one pass ([`bifrost_proxy::BifrostProxy::route_many_costed`], the
+//! compiled-config hot path), charges every request's routing cost to the
 //! proxy's own CPU, models the serving version's backend latency and error
 //! rate, and records the observed outcomes into the shared metric store via
 //! [`bifrost_metrics::TrafficSeriesRecorder`] — so checks evaluate traffic
@@ -468,9 +466,9 @@ impl TrafficStream {
                 .iter()
                 .map(|arrival| ProxyRequest::from_user(arrival.user)),
         );
-        // Routing needs only read access to the proxy (the sharded session
-        // store locks per shard internally), so concurrent streams through
-        // the same proxy no longer serialize on the handle.
+        // All streams of a service replay on one data-plane lane, so no
+        // other stream routes through this proxy meanwhile and the read
+        // lock is uncontended.
         let routed = proxy.read().route_many_costed(self.scratch.iter());
         for (arrival, (decision, cost)) in arrivals.iter().zip(&routed) {
             let receipt = cpu.submit(arrival.at, *cost);

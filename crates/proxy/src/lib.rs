@@ -13,6 +13,11 @@
 //! processing cost is accounted for by an explicit [`OverheadModel`], so the
 //! end-to-end overhead experiments (Figure 6, Table 1) can be reproduced.
 //!
+//! Routing takes `&self`. Each call, one request or a tick's batch, is one
+//! pass over its requests in arrival order, so a batch decides exactly as
+//! its requests would one by one (see [`proxy`]). The sticky-session table
+//! is sharded by token hash behind one lock per shard (see [`session`]).
+//!
 //! ```
 //! use bifrost_proxy::prelude::*;
 //! use bifrost_core::prelude::*;

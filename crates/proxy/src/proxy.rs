@@ -15,35 +15,38 @@
 //! 3. Every applicable dark-launch rule adds a shadow copy of the request
 //!    with the configured probability.
 //!
-//! Routing takes `&self`: the sticky-session table is sharded behind
-//! striped locks (see [`crate::session`]) and the statistics counters are
-//! striped the same way, so concurrent callers holding read access to the
-//! proxy route in parallel and only contend per shard. Batch routing
-//! ([`BifrostProxy::route_many_costed`]) partitions each batch by session
-//! shard and takes one lock per *touched shard* instead of one global lock
-//! per batch — while producing byte-identical decisions, in the original
-//! request order, for every shard count.
+//! Every routing call, one request ([`BifrostProxy::route`]) or a tick's
+//! batch ([`BifrostProxy::route_many_costed`]), is one pass over its
+//! requests in arrival order. The pass locks the token generator when it
+//! mints its first token and holds it to the end of the call. It buffers
+//! the sticky bindings it makes and applies them at the end, grouped by
+//! session shard, taking one lock per touched shard; a session lookup
+//! applies the buffer first, so every request sees the bindings made by the
+//! requests before it. Its statistics are tallied locally and merged into
+//! the proxy's once. A batch therefore routes exactly as its requests would
+//! one by one, at any shard count. Routing takes `&self`, so concurrent
+//! callers contend only on the shards they touch, the token generator and
+//! one statistics merge per call.
 
 use crate::config::{ProxyConfig, ProxyRule};
 use crate::overhead::OverheadModel;
 use crate::request::{ProxyRequest, RoutingDecision, ShadowCopy};
-use crate::session::{SessionShard, SessionStore, SessionToken, TokenGenerator};
+use crate::session::{SessionStore, SessionToken, TokenGenerator};
 use bifrost_core::hash;
 use bifrost_core::ids::{UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, RoutingMode, TrafficSplit};
 use bifrost_core::user::{User, UserSelector};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Counters describing what a proxy has done so far.
 ///
-/// The live counters are striped per session shard; [`BifrostProxy::stats`]
-/// merges the stripes with [`ProxyStats::merge`], whose aggregates are sums
-/// and `BTreeMap`-keyed tallies — both independent of shard count and shard
-/// iteration order, so a 16-shard proxy reports exactly the statistics of a
-/// 1-shard proxy over the same traffic.
+/// Each routing call tallies its own counters and merges them into the
+/// proxy's once ([`ProxyStats::merge`]); every aggregate is a sum or a
+/// `BTreeMap`-keyed tally, so the totals do not depend on how requests were
+/// split into calls.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProxyStats {
     /// Total requests routed.
@@ -59,8 +62,7 @@ pub struct ProxyStats {
 }
 
 impl ProxyStats {
-    /// Folds one routing decision into the counters — the single
-    /// bookkeeping path shared by single-request and batch routing.
+    /// Folds one routing decision into the counters.
     fn tally(&mut self, decision: &RoutingDecision) {
         self.requests += 1;
         self.shadow_copies += decision.shadows.len() as u64;
@@ -70,9 +72,9 @@ impl ProxyStats {
         }
     }
 
-    /// Folds another stats stripe into this one. Per-version counters
-    /// aggregate into the same `BTreeMap` (`VersionId`-ordered) regardless
-    /// of the order stripes are merged in.
+    /// Folds another set of counters into this one. Per-version counters
+    /// aggregate into the same `BTreeMap` (`VersionId`-ordered) whatever
+    /// order the sets are merged in.
     pub fn merge(&mut self, other: &ProxyStats) {
         self.requests += other.requests;
         self.shadow_copies += other.shadow_copies;
@@ -148,12 +150,7 @@ pub struct BifrostProxy {
     sessions: SessionStore,
     tokens: Mutex<TokenGenerator>,
     overhead: OverheadModel,
-    /// Routing counters, striped one-to-one with the session shards so the
-    /// batch path updates the stripe it already partitioned for.
-    stats: Vec<Mutex<ProxyStats>>,
-    /// Configuration pushes are serialized through `&mut self`
-    /// ([`Self::apply_config`]), so this counter needs no stripe.
-    config_updates: u64,
+    stats: Mutex<ProxyStats>,
 }
 
 impl BifrostProxy {
@@ -162,30 +159,21 @@ impl BifrostProxy {
     pub fn new(name: impl Into<String>, config: ProxyConfig) -> Self {
         let name = name.into();
         let seed = hash::fnv1a(name.as_bytes());
-        let sessions = SessionStore::new();
-        let stats = (0..sessions.shard_count())
-            .map(|_| Mutex::default())
-            .collect();
         Self {
             name,
             compiled: CompiledRules::compile(&config),
             config,
-            sessions,
+            sessions: SessionStore::new(),
             tokens: Mutex::new(TokenGenerator::seeded(seed)),
             overhead: OverheadModel::default(),
-            stats,
-            config_updates: 0,
+            stats: Mutex::default(),
         }
     }
 
     /// Overrides the session-store shard count (builder style). Only valid
-    /// before routing starts: the store is rebuilt empty and the statistics
-    /// stripes are re-created alongside it.
+    /// before routing starts: the store is rebuilt empty.
     pub fn with_session_shards(mut self, shards: usize) -> Self {
         self.sessions = SessionStore::with_shards(shards);
-        self.stats = (0..self.sessions.shard_count())
-            .map(|_| Mutex::default())
-            .collect();
         self
     }
 
@@ -199,17 +187,9 @@ impl BifrostProxy {
         &self.config
     }
 
-    /// The routing statistics accumulated so far, merged across the
-    /// per-shard stripes (order-independent, see [`ProxyStats::merge`]).
+    /// The routing statistics accumulated so far.
     pub fn stats(&self) -> ProxyStats {
-        let mut merged = ProxyStats {
-            config_updates: self.config_updates,
-            ..ProxyStats::default()
-        };
-        for stripe in &self.stats {
-            merged.merge(&stripe.lock());
-        }
-        merged
+        self.stats.lock().clone()
     }
 
     /// The overhead model in use.
@@ -223,7 +203,7 @@ impl BifrostProxy {
         self.sessions.clear();
         self.compiled = CompiledRules::compile(&config);
         self.config = config;
-        self.config_updates += 1;
+        self.stats.get_mut().config_updates += 1;
     }
 
     /// Whether any strategy-driven rules are currently installed.
@@ -240,13 +220,9 @@ impl BifrostProxy {
     /// evaluation (e.g. country filters). Without it only percentage/All
     /// selectors can match.
     pub fn route_user(&self, request: &ProxyRequest, user: Option<&User>) -> RoutingDecision {
-        let minted = self.mint_if_needed(request, user);
-        let shard = self.shard_for(request, minted);
-        let decision = {
-            let mut guard = self.sessions.shard(shard);
-            route_one(&self.compiled, &mut guard, request, user, minted)
-        };
-        self.stats[shard].lock().tally(&decision);
+        let mut pass = Pass::new(self);
+        let decision = pass.route(request, user);
+        pass.finish();
         decision
     }
 
@@ -260,90 +236,27 @@ impl BifrostProxy {
     }
 
     /// Routes a batch of requests through the compiled configuration and
-    /// returns one `(decision, CPU cost)` pair per request, in order.
+    /// returns one `(decision, CPU cost)` pair per request, in order — the
+    /// hot path of the request-level traffic simulation.
     ///
-    /// This is the hot path of the request-level traffic simulation, in
-    /// three stages:
-    ///
-    /// 1. a serial pre-pass mints the session tokens the batch will consume
-    ///    **in arrival order** (one token-generator lock for the whole
-    ///    batch), which keeps decisions byte-identical to one-by-one
-    ///    routing and independent of the shard count;
-    /// 2. the batch is partitioned by session shard (a pure hash of each
-    ///    request's effective token);
-    /// 3. each touched shard's group is routed under that shard's lock —
-    ///    one session lock and one stats lock per touched shard, never a
-    ///    store-wide lock.
+    /// The batch is one routing pass in arrival order, so its decisions,
+    /// tokens, bindings and statistics are exactly those of routing its
+    /// requests one by one, whatever the shard count.
     pub fn route_many_costed<'a, I>(&self, requests: I) -> Vec<(RoutingDecision, Duration)>
     where
         I: IntoIterator<Item = &'a ProxyRequest>,
     {
-        let requests: Vec<&ProxyRequest> = requests.into_iter().collect();
-        // Stage 1: serial token pre-pass in arrival order.
-        let mut minted: Vec<Option<SessionToken>> = vec![None; requests.len()];
-        if requests
-            .iter()
-            .any(|request| token_need(&self.compiled, request, None))
-        {
-            let mut tokens = self.tokens.lock();
-            for (slot, request) in minted.iter_mut().zip(&requests) {
-                if token_need(&self.compiled, request, None) {
-                    *slot = Some(tokens.next_token());
-                }
-            }
-        }
-        // Stage 2: partition request indices by session shard — a stable
-        // counting sort (one pass to count, one to scatter), so a batch
-        // costs three flat allocations instead of one growing vector per
-        // shard.
-        let shard_count = self.sessions.shard_count();
-        let shard_of: Vec<usize> = requests
-            .iter()
-            .enumerate()
-            .map(|(index, request)| self.shard_for(request, minted[index]))
+        let mut pass = Pass::new(self);
+        let routed = requests
+            .into_iter()
+            .map(|request| {
+                let decision = pass.route(request, None);
+                let cost = self.processing_cost(&decision);
+                (decision, cost)
+            })
             .collect();
-        let mut group_start = vec![0usize; shard_count + 1];
-        for &shard in &shard_of {
-            group_start[shard + 1] += 1;
-        }
-        for shard in 0..shard_count {
-            group_start[shard + 1] += group_start[shard];
-        }
-        let mut order = vec![0usize; requests.len()];
-        let mut cursor = group_start.clone();
-        for (index, &shard) in shard_of.iter().enumerate() {
-            order[cursor[shard]] = index;
-            cursor[shard] += 1;
-        }
-        // Stage 3: route each shard's group under its lock, writing results
-        // back into arrival order.
-        let mut out: Vec<Option<(RoutingDecision, Duration)>> = vec![None; requests.len()];
-        for shard in 0..shard_count {
-            let members = &order[group_start[shard]..group_start[shard + 1]];
-            if members.is_empty() {
-                continue;
-            }
-            let mut stripe = ProxyStats::default();
-            {
-                let mut guard = self.sessions.shard(shard);
-                for &index in members {
-                    let decision = route_one(
-                        &self.compiled,
-                        &mut guard,
-                        requests[index],
-                        None,
-                        minted[index],
-                    );
-                    stripe.tally(&decision);
-                    let cost = self.processing_cost(&decision);
-                    out[index] = Some((decision, cost));
-                }
-            }
-            self.stats[shard].lock().merge(&stripe);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every request was routed in its shard group"))
-            .collect()
+        pass.finish();
+        routed
     }
 
     /// The CPU demand of processing one request under the current
@@ -364,132 +277,171 @@ impl BifrostProxy {
     pub fn sessions(&self) -> &SessionStore {
         &self.sessions
     }
+}
 
-    /// Mints the one token this request will consume, if the compiled
-    /// configuration makes it consume one (see [`token_need`]).
-    fn mint_if_needed(&self, request: &ProxyRequest, user: Option<&User>) -> Option<SessionToken> {
-        token_need(&self.compiled, request, user).then(|| self.tokens.lock().next_token())
+/// One routing call's pass over its requests, in arrival order.
+struct Pass<'a> {
+    proxy: &'a BifrostProxy,
+    /// The token generator, locked at the first mint and held until the
+    /// call ends.
+    tokens: Option<MutexGuard<'a, TokenGenerator>>,
+    /// Sticky bindings not yet in the store, with their shard.
+    binds: Vec<(usize, SessionToken, VersionId)>,
+    stats: ProxyStats,
+}
+
+impl<'a> Pass<'a> {
+    fn new(proxy: &'a BifrostProxy) -> Self {
+        Self {
+            proxy,
+            tokens: None,
+            binds: Vec::new(),
+            stats: ProxyStats::default(),
+        }
     }
 
-    /// The shard whose lock covers this request: keyed by the effective
-    /// session token (carried or freshly minted); identified users without
-    /// any token hash to a stable stripe, and fully identity-less requests
-    /// (possible only when no rule touches them) fall back to stripe 0.
-    fn shard_for(&self, request: &ProxyRequest, minted: Option<SessionToken>) -> usize {
-        match (request.session_token().or(minted), request.user) {
-            (Some(token), _) => self.sessions.shard_of(token),
-            (None, Some(user)) => {
-                (hash::mix64(user.raw()) % self.sessions.shard_count() as u64) as usize
+    /// Applies the buffered bindings and merges the call's statistics.
+    fn finish(mut self) {
+        self.flush();
+        self.proxy.stats.lock().merge(&self.stats);
+    }
+
+    fn mint(&mut self) -> SessionToken {
+        let proxy = self.proxy;
+        self.tokens
+            .get_or_insert_with(|| proxy.tokens.lock())
+            .next_token()
+    }
+
+    /// Looks a token up after applying the buffered bindings, so it sees
+    /// every binding made earlier in the call.
+    fn lookup(&mut self, token: SessionToken) -> Option<VersionId> {
+        self.flush();
+        self.proxy.sessions.lookup(token)
+    }
+
+    fn bind(&mut self, token: SessionToken, version: VersionId) {
+        let shard = self.proxy.sessions.shard_of(token);
+        self.binds.push((shard, token, version));
+    }
+
+    /// Applies the buffered bindings under one lock per touched shard. The
+    /// sort is stable, so within a shard the bindings land in the order
+    /// they were made.
+    fn flush(&mut self) {
+        self.binds.sort_by_key(|&(shard, _, _)| shard);
+        for group in self.binds.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.proxy.sessions.shard(group[0].0);
+            for &(_, token, version) in group {
+                shard.bind(token, version);
             }
-            (None, None) => 0,
         }
+        self.binds.clear();
     }
-}
 
-/// Whether routing `request` under `compiled` consumes one token from the
-/// proxy's generator. This mirrors the minting sites in [`route_one`] /
-/// [`route_by_cookie`] exactly and depends only on the configuration and
-/// the request — never on session-table state (a carried token is never
-/// re-minted, bound or not) — so batch routing can pre-mint tokens in
-/// arrival order before partitioning by shard.
-fn token_need(compiled: &CompiledRules, request: &ProxyRequest, user: Option<&User>) -> bool {
-    if request.session_token().is_some() {
-        return false;
-    }
-    if let Some(rule) = &compiled.split {
-        let selected = match (user, request.user) {
-            (Some(user), _) => rule.selector.selects(user),
-            (None, Some(user_id)) => rule.selector.selects(&User::new(user_id)),
-            (None, None) => true,
+    fn route(&mut self, request: &ProxyRequest, user: Option<&User>) -> RoutingDecision {
+        let compiled = &self.proxy.compiled;
+        let mut decision = match &compiled.split {
+            None => RoutingDecision::to(compiled.default_version),
+            Some(rule) => {
+                let selected = match (user, request.user) {
+                    (Some(user), _) => rule.selector.selects(user),
+                    (None, Some(user_id)) => rule.selector.selects(&User::new(user_id)),
+                    (None, None) => true,
+                };
+                if !selected {
+                    RoutingDecision::to(compiled.default_version)
+                } else {
+                    match rule.mode {
+                        RoutingMode::HeaderBased => route_by_header(compiled, rule, request),
+                        RoutingMode::CookieBased => self.route_by_cookie(rule, request),
+                    }
+                }
+            }
         };
-        if selected && rule.mode == RoutingMode::CookieBased {
-            return match request.user {
-                // Anonymous cookieless client: minted to bucket the split
-                // (and reused by the shadow path and `Set-Cookie`).
-                None => true,
-                // Identified user: minted only to pin the sticky binding.
-                Some(_) => rule.sticky,
-            };
-        }
-    }
-    // No split, header routing, or an unselected user: only the shadow
-    // path mints, and only for requests with no identity at all.
-    !compiled.shadows.is_empty() && request.user.is_none()
-}
 
-/// Routes one request against a compiled configuration inside the session
-/// shard its identity hashes to. Tokens are never generated here — the one
-/// token the request may consume is pre-minted by the caller (`minted`), so
-/// shard groups can be processed in any order without perturbing the
-/// deterministic token sequence.
-fn route_one(
-    compiled: &CompiledRules,
-    shard: &mut SessionShard,
-    request: &ProxyRequest,
-    user: Option<&User>,
-    minted: Option<SessionToken>,
-) -> RoutingDecision {
-    let mut decision = match &compiled.split {
-        None => RoutingDecision::to(compiled.default_version),
-        Some(rule) => {
-            let selected = match (user, request.user) {
-                (Some(user), _) => rule.selector.selects(user),
-                (None, Some(user_id)) => rule.selector.selects(&User::new(user_id)),
-                (None, None) => true,
+        if !compiled.shadows.is_empty() {
+            // Percentage-based duplication: one draw per request, hashed
+            // from the session/user identity so the same *clients* are
+            // consistently duplicated. Anonymous requests reuse the cookie
+            // the split path just minted, or mint a re-identification cookie
+            // here — never a constant draw (a constant 0.0 used to shadow
+            // *every* anonymous request regardless of the percentage). The
+            // hash is salted differently than the split-bucketing draw: with
+            // the same draw for both, "p% of the source's traffic" would
+            // silently become "the p% of clients with the lowest bucket
+            // draw", which a split correlates with the version assignment.
+            // The user id outranks the session cookie here (unlike split
+            // bucketing): an identified user keeps one shadow decision
+            // whether or not their request carries the sticky cookie minted
+            // later.
+            let identity = request
+                .user
+                .map(UserId::raw)
+                .or_else(|| request.session_token().map(|token| token.raw() as u64))
+                .or_else(|| decision.set_cookie.map(|token| token.raw() as u64));
+            let draw = match identity {
+                Some(bits) => shadow_draw(bits),
+                None => {
+                    // Cookieless anonymous client under a shadow-only
+                    // config: set the cookie so return visits keep the same
+                    // draw.
+                    let token = self.mint();
+                    decision.set_cookie = Some(token);
+                    shadow_draw(token.raw() as u64)
+                }
             };
-            if !selected {
-                RoutingDecision::to(compiled.default_version)
-            } else {
-                match rule.mode {
-                    RoutingMode::HeaderBased => route_by_header(compiled, rule, request),
-                    RoutingMode::CookieBased => route_by_cookie(rule, shard, request, minted),
+            for route in &compiled.shadows {
+                // Only traffic actually served by the route's source version
+                // is duplicated. (Also matching the default version used to
+                // inflate the shadow share: requests split onto *other*
+                // versions were duplicated whenever the rule's source was the
+                // default.)
+                if route.source == decision.primary && draw < route.percentage.fraction() {
+                    decision.shadows.push(ShadowCopy {
+                        target: route.target,
+                    });
                 }
             }
         }
-    };
+        self.stats.tally(&decision);
+        decision
+    }
 
-    if !compiled.shadows.is_empty() {
-        // Percentage-based duplication: one draw per request, hashed from
-        // the session/user identity so the same *clients* are consistently
-        // duplicated. Anonymous requests reuse the cookie the split path
-        // just minted, or consume the pre-minted re-identification cookie
-        // here — never a constant draw (a constant 0.0 used to shadow
-        // *every* anonymous request regardless of the percentage). The hash
-        // is salted differently than the split-bucketing draw: with the
-        // same draw for both, "p% of the source's traffic" would silently
-        // become "the p% of clients with the lowest bucket draw", which a
-        // split correlates with the version assignment.
-        // The user id outranks the session cookie here (unlike split
-        // bucketing): an identified user keeps one shadow decision whether
-        // or not their request carries the sticky cookie minted later.
-        let identity = request
-            .user
-            .map(UserId::raw)
-            .or_else(|| request.session_token().map(|token| token.raw() as u64))
-            .or_else(|| decision.set_cookie.map(|token| token.raw() as u64));
-        let draw = match identity {
-            Some(bits) => shadow_draw(bits),
-            None => {
-                // Cookieless anonymous client under a shadow-only config:
-                // set the cookie so return visits keep the same draw.
-                let token = minted.expect("token_need pre-mints for identity-less requests");
-                decision.set_cookie = Some(token);
-                shadow_draw(token.raw() as u64)
-            }
-        };
-        for route in &compiled.shadows {
-            // Only traffic actually served by the route's source version is
-            // duplicated. (Also matching the default version used to inflate
-            // the shadow share: requests split onto *other* versions were
-            // duplicated whenever the rule's source was the default.)
-            if route.source == decision.primary && draw < route.percentage.fraction() {
-                decision.shadows.push(ShadowCopy {
-                    target: route.target,
-                });
+    fn route_by_cookie(&mut self, rule: &CompiledSplit, request: &ProxyRequest) -> RoutingDecision {
+        // A returning client with a bound session keeps its version.
+        if rule.sticky {
+            if let Some(token) = request.session_token() {
+                if let Some(version) = self.lookup(token) {
+                    let mut decision = RoutingDecision::to(version);
+                    decision.from_sticky_session = true;
+                    return decision;
+                }
             }
         }
+        // Otherwise bucket the client: prefer the session token (returning
+        // anonymous client), then the user id, then a fresh token.
+        let (token, draw) = match (request.session_token(), request.user) {
+            (Some(token), _) => (Some(token), token.bucket_draw()),
+            (None, Some(user)) => (None, user_draw(user)),
+            (None, None) => {
+                let token = self.mint();
+                (Some(token), token.bucket_draw())
+            }
+        };
+        let version = rule.split.pick(draw);
+        let mut decision = RoutingDecision::to(version);
+        if rule.sticky {
+            let token = token.unwrap_or_else(|| self.mint());
+            self.bind(token, version);
+            decision.set_cookie = Some(token);
+        } else if request.session_token().is_none() && request.user.is_none() {
+            // Non-sticky cookie routing still sets the re-identification
+            // cookie so that traffic shares stay consistent per client.
+            decision.set_cookie = token;
+        }
+        decision
     }
-    decision
 }
 
 fn route_by_header(
@@ -508,47 +460,6 @@ fn route_by_header(
         None => None,
     };
     RoutingDecision::to(target.unwrap_or(compiled.default_version))
-}
-
-fn route_by_cookie(
-    rule: &CompiledSplit,
-    shard: &mut SessionShard,
-    request: &ProxyRequest,
-    minted: Option<SessionToken>,
-) -> RoutingDecision {
-    // A returning client with a bound session keeps its version.
-    if rule.sticky {
-        if let Some(token) = request.session_token() {
-            if let Some(version) = shard.lookup(token) {
-                let mut decision = RoutingDecision::to(version);
-                decision.from_sticky_session = true;
-                return decision;
-            }
-        }
-    }
-    // Otherwise bucket the client: prefer the session token (returning
-    // anonymous client), then the user id, then the pre-minted token.
-    let (token, draw) = match (request.session_token(), request.user) {
-        (Some(token), _) => (Some(token), token.bucket_draw()),
-        (None, Some(user)) => (None, user_draw(user)),
-        (None, None) => {
-            let token = minted.expect("token_need pre-mints for anonymous cookie routing");
-            (Some(token), token.bucket_draw())
-        }
-    };
-    let version = rule.split.pick(draw);
-    let mut decision = RoutingDecision::to(version);
-    if rule.sticky {
-        let token =
-            token.unwrap_or_else(|| minted.expect("token_need pre-mints for sticky user binding"));
-        shard.bind(token, version);
-        decision.set_cookie = Some(token);
-    } else if request.session_token().is_none() && request.user.is_none() {
-        // Non-sticky cookie routing still sets the re-identification
-        // cookie so that traffic shares stay consistent per client.
-        decision.set_cookie = token;
-    }
-    decision
 }
 
 /// Salt XORed into the identity for the dark-launch draw, decorrelating it
@@ -779,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_configurable_and_stats_stay_striped() {
+    fn shard_count_is_configurable_and_stats_count_every_request() {
         let proxy = BifrostProxy::new("p", canary_config(50.0, true, RoutingMode::CookieBased))
             .with_session_shards(16);
         assert_eq!(proxy.sessions().shard_count(), 16);

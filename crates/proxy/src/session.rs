@@ -6,17 +6,18 @@
 //! routed to the same version for the remainder of the state.
 //!
 //! The binding table is the proxy's hottest shared structure: every routed
-//! request under a sticky split performs a lookup, and a proxy fronting a
-//! large service holds millions of live bindings. The table is therefore
-//! **sharded by token hash** — `N` independently locked
+//! request under a sticky split performs a lookup or a bind, and a proxy
+//! fronting a large service holds millions of live bindings. The table is
+//! therefore **sharded by token hash** — `N` independently locked
 //! ([`parking_lot::Mutex`]) shards, each a `BTreeMap` slice of the key
 //! space. Shard assignment is a pure function of the token (a splitmix
 //! finalizer over [`SessionToken::raw`], see [`bifrost_core::hash`]), so a
-//! token's bindings always live in exactly one shard and batch routing can
-//! partition a tick's requests by shard, taking one short lock per touched
-//! shard instead of one global lock for the whole batch. Smaller per-shard
-//! trees also cut lookup depth, which is what makes sharding win even on a
-//! single core once the table holds millions of bindings.
+//! token's bindings always live in exactly one shard. A routing call
+//! applies the bindings it makes grouped by shard, one short lock per
+//! touched shard, and concurrent callers contend only when they touch the
+//! same shard. Smaller per-shard trees also cut lookup depth, which is what
+//! makes sharding win even on a single core once the table holds millions
+//! of bindings.
 
 use bifrost_core::hash;
 use bifrost_core::ids::VersionId;
@@ -161,9 +162,9 @@ impl SessionShard {
 /// The sticky-session table of a proxy: token → version, sharded by token
 /// hash behind striped locks.
 ///
-/// All methods take `&self`; concurrent callers (and shard-partitioned
-/// batches, see [`crate::BifrostProxy::route_many_costed`]) only contend
-/// when they touch the same shard. Aggregate accessors ([`Self::len`],
+/// All methods take `&self`; concurrent callers (see
+/// [`crate::BifrostProxy::route_many_costed`]) only contend when they touch
+/// the same shard. Aggregate accessors ([`Self::len`],
 /// [`Self::hits`], …) fold over the shards in index order; every aggregate
 /// is a sum, so the result is independent of both shard count and shard
 /// iteration order.
@@ -205,8 +206,8 @@ impl SessionStore {
         (token.shard_hash() % self.shards.len() as u64) as usize
     }
 
-    /// Locks and returns one shard (batch routing partitions its requests
-    /// by [`Self::shard_of`] and processes each group under one such lock).
+    /// Locks and returns one shard (a routing call applies its bindings
+    /// for each shard under one such lock).
     pub fn shard(&self, index: usize) -> MutexGuard<'_, SessionShard> {
         self.shards[index].lock()
     }

@@ -3,10 +3,11 @@
 //! percentage (including for anonymous requests), and sticky sessions must
 //! pin clients for the lifetime of a configuration.
 
+use bifrost_core::hash::fnv1a;
 use bifrost_core::ids::{ServiceId, UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, Percentage, RoutingMode, TrafficSplit};
 use bifrost_core::user::UserSelector;
-use bifrost_proxy::{BifrostProxy, ProxyConfig, ProxyRequest, ProxyRule};
+use bifrost_proxy::{BifrostProxy, ProxyConfig, ProxyRequest, ProxyRule, TokenGenerator};
 use bifrost_simnet::SimRng;
 
 const N: usize = 20_000;
@@ -267,18 +268,77 @@ fn sticky_sessions_pin_clients_while_other_traffic_shifts_realized_shares() {
 fn batch_routing_is_identical_to_serial_routing() {
     // route_many_costed must produce exactly the decisions and costs of the
     // one-by-one path (same proxy name → same token generator sequence).
-    let requests: Vec<ProxyRequest> = (0..2_000)
-        .map(|i| match i % 3 {
-            0 => ProxyRequest::from_user(UserId::new(i as u64)),
-            1 => ProxyRequest::new(),
-            _ => ProxyRequest::new().with_header("x-bifrost-group", "B"),
+    //
+    // Every fourth request is a returning client carrying a cookie handed
+    // out earlier in the same batch: either by the request just before it
+    // or by one further back. Under the sticky cookie split every cookieless
+    // request mints one token, in arrival order, so those cookies are
+    // predictable from the proxy's generator.
+    let mut predicted = TokenGenerator::seeded(fnv1a(b"same-seed"));
+    let mut handed_out = Vec::new();
+    let requests: Vec<ProxyRequest> = (0..2_000usize)
+        .map(|i| match i % 8 {
+            3 => ProxyRequest::new().with_session(*handed_out.last().unwrap()),
+            7 => ProxyRequest::from_user(UserId::new(i as u64)).with_session(handed_out[i / 4]),
+            _ => {
+                handed_out.push(predicted.next_token());
+                match i % 3 {
+                    0 => ProxyRequest::from_user(UserId::new(i as u64)),
+                    1 => ProxyRequest::new(),
+                    _ => ProxyRequest::new().with_header("x-bifrost-group", "B"),
+                }
+            }
         })
         .collect();
-    let config = split_config(30.0, true, RoutingMode::CookieBased);
-    let serial = BifrostProxy::new("same-seed", config.clone());
-    let batched = BifrostProxy::new("same-seed", config);
-    let expected: Vec<_> = requests.iter().map(|r| serial.route_costed(r)).collect();
-    let actual = batched.route_many_costed(requests.iter());
-    assert_eq!(expected, actual);
-    assert_eq!(serial.stats(), batched.stats());
+    let returning = |i: usize| i % 8 == 3 || i % 8 == 7;
+    let with_shadow = |config: ProxyConfig| {
+        let (_, stable, canary) = ids();
+        config.with_rule(ProxyRule::shadow(DarkLaunchRoute::new(
+            stable,
+            canary,
+            Percentage::new(25.0).unwrap(),
+        )))
+    };
+    let configs = [
+        split_config(30.0, true, RoutingMode::CookieBased),
+        with_shadow(split_config(30.0, false, RoutingMode::CookieBased)),
+        with_shadow(split_config(30.0, false, RoutingMode::HeaderBased)),
+        shadow_config(40.0),
+    ];
+    for (index, config) in configs.into_iter().enumerate() {
+        let sticky = index == 0;
+        let serial = BifrostProxy::new("same-seed", config.clone());
+        let batched = BifrostProxy::new("same-seed", config);
+        let expected: Vec<_> = requests.iter().map(|r| serial.route_costed(r)).collect();
+        let actual = batched.route_many_costed(requests.iter());
+        assert_eq!(expected, actual, "config {index}");
+        assert_eq!(serial.stats(), batched.stats(), "config {index}");
+        assert_eq!(serial.sessions().len(), batched.sessions().len());
+        assert_eq!(serial.sessions().hits(), batched.sessions().hits());
+        assert_eq!(serial.sessions().misses(), batched.sessions().misses());
+        if sticky {
+            // A returning client sees the binding made earlier in its own
+            // batch.
+            for (i, (decision, _)) in actual.iter().enumerate() {
+                assert_eq!(decision.from_sticky_session, returning(i), "request {i}");
+            }
+        }
+        // Every cookie the proxy hands out (rather than echoes) is the
+        // generator's next token, in arrival order: no token is minted and
+        // dropped, and none is minted twice.
+        let mut generator = TokenGenerator::seeded(fnv1a(b"same-seed"));
+        let mut minted = 0;
+        for ((decision, _), request) in actual.iter().zip(&requests) {
+            if let Some(cookie) = decision.set_cookie {
+                if Some(cookie) != request.session_token() {
+                    assert_eq!(cookie, generator.next_token(), "config {index}");
+                    minted += 1;
+                }
+            }
+        }
+        assert!(minted > 0, "config {index} mints tokens");
+        if let Some(next) = batched.route(&ProxyRequest::new()).set_cookie {
+            assert_eq!(next, generator.next_token(), "config {index}");
+        }
+    }
 }

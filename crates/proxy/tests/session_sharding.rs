@@ -5,8 +5,8 @@
 //!   is **shard-local** (it lives in exactly the assigned shard).
 //! * The shard count is a pure scalability knob: a 1-shard proxy and a
 //!   16-shard proxy produce byte-identical routing decisions **and**
-//!   byte-identical merged [`ProxyStats`] over identical traffic — the
-//!   merge must not depend on shard iteration order.
+//!   byte-identical [`ProxyStats`] over identical traffic — the grouped
+//!   application of a call's bindings must not depend on the shard count.
 
 use bifrost_core::ids::{ServiceId, UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, Percentage, RoutingMode, TrafficSplit};
@@ -144,9 +144,9 @@ fn batch_routing_is_shard_count_invariant_and_matches_serial() {
 #[test]
 fn merged_stats_are_independent_of_shard_iteration_order() {
     // The per-version counters must aggregate into the same BTreeMap
-    // ordering whatever shard tallied them: compare the full Debug
-    // rendering (field-by-field, map order included) of the merged stats
-    // across shard counts on identical traffic.
+    // ordering whatever the shard count: compare the full Debug rendering
+    // (field-by-field, map order included) of the stats across shard
+    // counts on identical traffic.
     let requests = traffic(5_000);
     let renderings: Vec<String> = [1usize, 3, 16]
         .into_iter()
@@ -163,9 +163,9 @@ fn merged_stats_are_independent_of_shard_iteration_order() {
 
 #[test]
 fn concurrent_routing_over_the_sharded_store_loses_nothing() {
-    // Four OS threads hammer one sharded proxy; the merged counters must
-    // account for every request exactly once (per-shard striping must not
-    // drop or double-count under contention).
+    // Four OS threads hammer one sharded proxy; the counters must account
+    // for every request exactly once (the per-call merges must not drop or
+    // double-count under contention).
     let proxy = BifrostProxy::new("p", mixed_config(50.0, true)).with_session_shards(8);
     let per_thread = 2_000usize;
     let threads = 4;
