@@ -37,15 +37,18 @@
 //! its ticks in queue order, on one of `min(available_parallelism(),
 //! partitions the run touches, ⌈arrivals / 1024⌉)` threads. The engine's
 //! own thread is one of them, so a run that touches one partition, a run
-//! of at most 1024 arrivals, or a host with one CPU spawns no thread. Partitions write disjoint series of a
-//! `BTreeMap`-keyed metric store, so every output is byte-identical at
-//! any worker count.
+//! of at most 1024 arrivals, or a host with one CPU spawns no thread.
+//! Partitions write disjoint series of the metric store. The store hands
+//! out private series ids in first-record order, which can differ between
+//! worker counts, but every read is in key order, so every output is
+//! byte-identical at any worker count.
 //!
 //! Everything derives from the engine seed: an N-thread multi-trial run
 //! produces byte-identical traffic statistics to a 1-thread run.
 
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::seed::Seed;
+use bifrost_metrics::traffic::VersionSlot;
 use bifrost_metrics::{SharedMetricStore, TrafficSeriesRecorder};
 use bifrost_proxy::ProxyRequest;
 use bifrost_simnet::{CpuResource, SimRng, SimTime};
@@ -362,10 +365,10 @@ pub(crate) struct TrafficStream {
     stats: TrafficStats,
     /// Scratch buffer reused across ticks to build the batch's requests.
     scratch: Vec<ProxyRequest>,
-    /// Version → series label, pre-resolved so the per-request loop never
-    /// allocates for label bookkeeping. Versions the profile did not name
-    /// are added on first sight with their id rendering.
-    labels: BTreeMap<VersionId, String>,
+    /// Version → the recorder's slot for its label, so recording a request
+    /// indexes the recorder's slots. Versions the profile did not name are
+    /// added on first sight under their id rendering.
+    slots: BTreeMap<VersionId, VersionSlot>,
 }
 
 impl TrafficStream {
@@ -390,13 +393,18 @@ impl TrafficStream {
             profile.version_labels.values().map(String::as_str),
             SimTime::ZERO.to_timestamp(),
         );
+        let slots = profile
+            .version_labels
+            .iter()
+            .map(|(&version, label)| (version, recorder.slot(label)))
+            .collect();
         Self {
             rng: SimRng::seeded(stream_seed.stream("backends").value()),
             shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
             recorder,
             ticks,
             arrivals: Vec::new(),
-            labels: profile.version_labels.clone(),
+            slots,
             profile,
             stats: TrafficStats::default(),
             scratch: Vec::new(),
@@ -531,13 +539,10 @@ impl TrafficStream {
             *self.stats.per_version.entry(decision.primary).or_insert(0) += 1;
             self.stats.total_latency_ms += latency_ms;
             self.stats.latencies_ms.push(latency_ms);
-            let label = self
-                .labels
-                .entry(decision.primary)
-                .or_insert_with(|| decision.primary.to_string());
-            self.recorder.observe_request(label, latency_ms, success);
+            let slot = slot_of(&mut self.slots, &mut self.recorder, decision.primary);
+            self.recorder.observe_request_in(slot, latency_ms, success);
             if outcome != ServeOutcome::Served {
-                self.recorder.observe_shed(label);
+                self.recorder.observe_shed_in(slot);
             }
             for shadow in &decision.shadows {
                 self.stats.shadow_copies += 1;
@@ -552,11 +557,8 @@ impl TrafficStream {
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
                 let shadow_model = self.profile.backend_of(shadow.target);
-                let label = self
-                    .labels
-                    .entry(shadow.target)
-                    .or_insert_with(|| shadow.target.to_string());
-                self.recorder.observe_shadow(label);
+                let slot = slot_of(&mut self.slots, &mut self.recorder, shadow.target);
+                self.recorder.observe_shadow_in(slot);
                 if let BackendModel::Queued(queued) = shadow_model {
                     let demand = queued
                         .service_time
@@ -564,7 +566,7 @@ impl TrafficStream {
                     let server = servers.ensure(shadow.target, &queued);
                     if server.dispatch(receipt.completed, demand) == BackendDispatch::Shed {
                         self.stats.shadow_shed += 1;
-                        self.recorder.observe_shed(label);
+                        self.recorder.observe_shed_in(slot);
                     }
                 }
             }
@@ -576,11 +578,8 @@ impl TrafficStream {
         // service, the first stream's tick consumes the window.)
         for (version, server) in servers.iter_mut() {
             let percent = server.sample_utilization(at);
-            let label = self
-                .labels
-                .entry(version)
-                .or_insert_with(|| version.to_string());
-            self.recorder.observe_utilization(label, percent);
+            let slot = slot_of(&mut self.slots, &mut self.recorder, version);
+            self.recorder.observe_utilization_in(slot, percent);
             let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
             if percent > *peak {
                 *peak = percent;
@@ -592,6 +591,18 @@ impl TrafficStream {
         let _ = cpu.sample_utilization(at);
         self.recorder.flush(at.to_timestamp());
     }
+}
+
+/// The recorder slot of `version`, registering a version the profile did
+/// not name under its id rendering on first sight.
+fn slot_of(
+    slots: &mut BTreeMap<VersionId, VersionSlot>,
+    recorder: &mut TrafficSeriesRecorder,
+    version: VersionId,
+) -> VersionSlot {
+    *slots
+        .entry(version)
+        .or_insert_with(|| recorder.slot(&version.to_string()))
 }
 
 /// How a primary request fared at its backend.

@@ -24,11 +24,17 @@
 //! The series names and the `version` label match what the case-study
 //! application publishes, so the same check specifications work against
 //! simulated application traffic and engine-driven request-level traffic.
+//!
+//! The recorder keeps one slot per version label: the version's window,
+//! its counter totals and the store ids of its series. A caller maps each
+//! version to its [`VersionSlot`] once and then observes by slot, which
+//! indexes a `Vec`. A series' key is built once, when the series gets its
+//! first sample; every later flush appends by cached id, so a flush builds,
+//! compares and clones no strings.
 
 use crate::sample::{Sample, SeriesKey, TimestampMs};
 use crate::stats::{nearest_rank, sample_order};
-use crate::store::SharedMetricStore;
-use std::collections::BTreeMap;
+use crate::store::{MetricStore, SeriesId, SharedMetricStore};
 
 /// Cumulative counter for requests routed to one version.
 pub const REQUESTS_TOTAL: &str = "requests_total";
@@ -48,15 +54,105 @@ pub const REQUESTS_SHED_TOTAL: &str = "requests_shed_total";
 /// Per-tick backend replica utilisation gauge per version (percent).
 pub const BACKEND_UTILIZATION: &str = "backend_utilization";
 
+/// The series a version publishes: the four counters first, in the order
+/// of [`VersionSeries::totals`], then the gauges.
+const SERIES: [&str; 8] = [
+    REQUESTS_TOTAL,
+    REQUEST_ERRORS,
+    SHADOW_REQUESTS_TOTAL,
+    REQUESTS_SHED_TOTAL,
+    REQUEST_LATENCY_MS,
+    REQUEST_LATENCY_P50_MS,
+    REQUEST_LATENCY_P95_MS,
+    BACKEND_UTILIZATION,
+];
+
 /// Per-version accumulation of one flush window.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct WindowAccumulator {
     requests: u64,
     errors: u64,
+    shadows: u64,
+    shed: u64,
     latency_ms_sum: f64,
     /// Every latency of the window, for the per-tick quantile gauges.
     latencies_ms: Vec<f64>,
+    /// The latest backend utilisation (percent) of the window.
+    utilization: Option<f64>,
 }
+
+/// One version's slot in a recorder.
+#[derive(Debug)]
+struct VersionSeries {
+    label: String,
+    /// The current (unflushed) window.
+    window: WindowAccumulator,
+    /// Running totals of the four counters, published as cumulative
+    /// samples (windowed `Increase` queries recover per-window rates).
+    /// `None` until the counter is registered or first counts, so a
+    /// counter the version never had stays unpublished.
+    totals: [Option<f64>; 4],
+    /// The store id of each of [`SERIES`], once it has its first sample.
+    ids: [Option<SeriesId>; 8],
+}
+
+impl VersionSeries {
+    /// Publishes the window and every running total at `at`, then clears
+    /// the window (keeping its latency buffer).
+    fn flush(&mut self, store: &mut MetricStore, service: &str, at: TimestampMs) {
+        let window = &mut self.window;
+        // A counter starts with its version's first event of its kind; the
+        // error counter starts with the first request.
+        let deltas = [
+            (window.requests > 0).then_some(window.requests),
+            (window.requests > 0).then_some(window.errors),
+            (window.shadows > 0).then_some(window.shadows),
+            (window.shed > 0).then_some(window.shed),
+        ];
+        let (p50, p95) = window_quantiles(&mut window.latencies_ms).unzip();
+        let mean = (window.requests > 0).then(|| window.latency_ms_sum / window.requests as f64);
+        let gauges = [mean, p50, p95, window.utilization];
+        let mut latencies_ms = std::mem::take(&mut window.latencies_ms);
+        latencies_ms.clear();
+        *window = WindowAccumulator {
+            latencies_ms,
+            ..WindowAccumulator::default()
+        };
+
+        for (total, delta) in self.totals.iter_mut().zip(deltas) {
+            if let Some(delta) = delta {
+                *total = Some(total.unwrap_or(0.0) + delta as f64);
+            }
+        }
+        // Every known total is published, so quiet versions re-publish
+        // theirs and windowed queries always see a sample (the shape of a
+        // Prometheus scrape loop).
+        for (series, value) in self.totals.into_iter().chain(gauges).enumerate() {
+            if let Some(value) = value {
+                self.publish(store, service, series, Sample::new(at, value));
+            }
+        }
+    }
+
+    /// Appends `sample` to the `series`-th of [`SERIES`], resolving the
+    /// series' id on its first sample.
+    fn publish(&mut self, store: &mut MetricStore, service: &str, series: usize, sample: Sample) {
+        let id = *self.ids[series].get_or_insert_with(|| {
+            store.resolve(
+                SeriesKey::new(SERIES[series])
+                    .with_label("service", service)
+                    .with_label("version", &self.label),
+            )
+        });
+        store.record_id(id, sample);
+    }
+}
+
+/// A version's place in one [`TrafficSeriesRecorder`], from
+/// [`TrafficSeriesRecorder::slot`]. Only meaningful to the recorder that
+/// handed it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VersionSlot(usize);
 
 /// Buffers routing outcomes per version and publishes them as metric
 /// series, one store lock per flush instead of per request.
@@ -64,18 +160,8 @@ struct WindowAccumulator {
 pub struct TrafficSeriesRecorder {
     store: SharedMetricStore,
     service_label: String,
-    /// Running totals published as counter samples (Prometheus counters are
-    /// cumulative; windowed `Increase` queries recover per-window rates).
-    request_totals: BTreeMap<String, f64>,
-    error_totals: BTreeMap<String, f64>,
-    shadow_totals: BTreeMap<String, f64>,
-    shed_totals: BTreeMap<String, f64>,
-    /// The current (unflushed) window.
-    window: BTreeMap<String, WindowAccumulator>,
-    shadow_window: BTreeMap<String, u64>,
-    shed_window: BTreeMap<String, u64>,
-    /// Latest per-version backend utilisation (percent) of the window.
-    utilization_window: BTreeMap<String, f64>,
+    /// One slot per version label, in first-seen order.
+    versions: Vec<VersionSeries>,
 }
 
 impl TrafficSeriesRecorder {
@@ -85,15 +171,24 @@ impl TrafficSeriesRecorder {
         Self {
             store,
             service_label: service_label.into(),
-            request_totals: BTreeMap::new(),
-            error_totals: BTreeMap::new(),
-            shadow_totals: BTreeMap::new(),
-            shed_totals: BTreeMap::new(),
-            window: BTreeMap::new(),
-            shadow_window: BTreeMap::new(),
-            shed_window: BTreeMap::new(),
-            utilization_window: BTreeMap::new(),
+            versions: Vec::new(),
         }
+    }
+
+    /// The slot of the version labelled `version_label`, created empty on
+    /// the label's first sight. A linear scan: a service runs a handful of
+    /// versions, and hot loops keep the slot instead of asking again.
+    pub fn slot(&mut self, version_label: &str) -> VersionSlot {
+        if let Some(index) = self.versions.iter().position(|v| v.label == version_label) {
+            return VersionSlot(index);
+        }
+        self.versions.push(VersionSeries {
+            label: version_label.to_string(),
+            window: WindowAccumulator::default(),
+            totals: [None; 4],
+            ids: [None; 8],
+        });
+        VersionSlot(self.versions.len() - 1)
     }
 
     /// Pre-registers versions' counter series at zero (the behaviour of a
@@ -106,161 +201,86 @@ impl TrafficSeriesRecorder {
         at: TimestampMs,
     ) {
         for label in version_labels {
-            self.request_totals.entry(label.to_string()).or_insert(0.0);
-            self.error_totals.entry(label.to_string()).or_insert(0.0);
-            self.shadow_totals.entry(label.to_string()).or_insert(0.0);
-            self.shed_totals.entry(label.to_string()).or_insert(0.0);
+            let slot = self.slot(label);
+            for total in &mut self.versions[slot.0].totals {
+                total.get_or_insert(0.0);
+            }
         }
         self.flush(at);
     }
 
-    /// Buffers the outcome of one routed request. Allocation-free except
-    /// for a version's first appearance in the current window.
-    pub fn observe_request(&mut self, version_label: &str, latency_ms: f64, success: bool) {
-        if !self.window.contains_key(version_label) {
-            self.window
-                .insert(version_label.to_string(), WindowAccumulator::default());
-        }
-        let acc = self.window.get_mut(version_label).expect("just ensured");
-        acc.requests += 1;
-        acc.latency_ms_sum += latency_ms;
-        acc.latencies_ms.push(latency_ms);
+    /// Buffers the outcome of one request routed to `slot`'s version.
+    /// Allocation-free once the window's latency buffer has grown.
+    pub fn observe_request_in(&mut self, slot: VersionSlot, latency_ms: f64, success: bool) {
+        let window = &mut self.versions[slot.0].window;
+        window.requests += 1;
+        window.latency_ms_sum += latency_ms;
+        window.latencies_ms.push(latency_ms);
         if !success {
-            acc.errors += 1;
+            window.errors += 1;
         }
     }
 
-    /// Buffers one request (primary or shadow) the version's backend shed
-    /// from a full queue or timed out past its deadline. Allocation-free
-    /// except for a version's first appearance in the current window.
+    /// Buffers one request (primary or shadow) that `slot`'s version's
+    /// backend shed from a full queue or timed out past its deadline.
+    pub fn observe_shed_in(&mut self, slot: VersionSlot) {
+        self.versions[slot.0].window.shed += 1;
+    }
+
+    /// Buffers one dark-launch shadow copy sent to `slot`'s version.
+    pub fn observe_shadow_in(&mut self, slot: VersionSlot) {
+        self.versions[slot.0].window.shadows += 1;
+    }
+
+    /// Buffers `slot`'s version's backend replica utilisation (percent)
+    /// sampled over the current tick; the latest value wins.
+    pub fn observe_utilization_in(&mut self, slot: VersionSlot, percent: f64) {
+        self.versions[slot.0].window.utilization = Some(percent);
+    }
+
+    /// [`Self::observe_request_in`] by version label.
+    pub fn observe_request(&mut self, version_label: &str, latency_ms: f64, success: bool) {
+        let slot = self.slot(version_label);
+        self.observe_request_in(slot, latency_ms, success);
+    }
+
+    /// [`Self::observe_shed_in`] by version label.
     pub fn observe_shed(&mut self, version_label: &str) {
-        if !self.shed_window.contains_key(version_label) {
-            self.shed_window.insert(version_label.to_string(), 0);
-        }
-        *self
-            .shed_window
-            .get_mut(version_label)
-            .expect("just ensured") += 1;
+        let slot = self.slot(version_label);
+        self.observe_shed_in(slot);
     }
 
-    /// Buffers the version's backend replica utilisation (percent) sampled
-    /// over the current tick; the latest value per version wins.
+    /// [`Self::observe_utilization_in`] by version label.
     pub fn observe_utilization(&mut self, version_label: &str, percent: f64) {
-        if let Some(slot) = self.utilization_window.get_mut(version_label) {
-            *slot = percent;
-        } else {
-            self.utilization_window
-                .insert(version_label.to_string(), percent);
-        }
+        let slot = self.slot(version_label);
+        self.observe_utilization_in(slot, percent);
     }
 
-    /// Buffers one dark-launch shadow copy sent to `version_label`.
-    /// Allocation-free except for a version's first appearance in the
-    /// current window.
+    /// [`Self::observe_shadow_in`] by version label.
     pub fn observe_shadow(&mut self, version_label: &str) {
-        if !self.shadow_window.contains_key(version_label) {
-            self.shadow_window.insert(version_label.to_string(), 0);
-        }
-        *self
-            .shadow_window
-            .get_mut(version_label)
-            .expect("just ensured") += 1;
+        let slot = self.slot(version_label);
+        self.observe_shadow_in(slot);
     }
 
     /// Publishes the buffered window (and the running counter totals) at
-    /// virtual time `at`, then clears the window.
+    /// virtual time `at` under one store write lock, then clears the
+    /// window.
     pub fn flush(&mut self, at: TimestampMs) {
-        let mut samples: Vec<(SeriesKey, Sample)> = Vec::new();
-        for (version, mut acc) in std::mem::take(&mut self.window) {
-            let requests = {
-                let total = self.request_totals.entry(version.clone()).or_insert(0.0);
-                *total += acc.requests as f64;
-                *total
-            };
-            samples.push((
-                self.key(REQUESTS_TOTAL, &version),
-                Sample::new(at, requests),
-            ));
-            let errors = {
-                let total = self.error_totals.entry(version.clone()).or_insert(0.0);
-                *total += acc.errors as f64;
-                *total
-            };
-            samples.push((self.key(REQUEST_ERRORS, &version), Sample::new(at, errors)));
-            if acc.requests > 0 {
-                samples.push((
-                    self.key(REQUEST_LATENCY_MS, &version),
-                    Sample::new(at, acc.latency_ms_sum / acc.requests as f64),
-                ));
+        let Self {
+            store,
+            service_label,
+            versions,
+        } = self;
+        store.with_store_mut(|store| {
+            for version in versions {
+                version.flush(store, service_label, at);
             }
-            if let Some((p50, p95)) = window_quantiles(&mut acc.latencies_ms) {
-                samples.push((
-                    self.key(REQUEST_LATENCY_P50_MS, &version),
-                    Sample::new(at, p50),
-                ));
-                samples.push((
-                    self.key(REQUEST_LATENCY_P95_MS, &version),
-                    Sample::new(at, p95),
-                ));
-            }
-        }
-        for (version, count) in std::mem::take(&mut self.shed_window) {
-            let shed = {
-                let total = self.shed_totals.entry(version.clone()).or_insert(0.0);
-                *total += count as f64;
-                *total
-            };
-            samples.push((
-                self.key(REQUESTS_SHED_TOTAL, &version),
-                Sample::new(at, shed),
-            ));
-        }
-        for (version, percent) in std::mem::take(&mut self.utilization_window) {
-            samples.push((
-                self.key(BACKEND_UTILIZATION, &version),
-                Sample::new(at, percent),
-            ));
-        }
-        for (version, count) in std::mem::take(&mut self.shadow_window) {
-            let shadows = {
-                let total = self.shadow_totals.entry(version.clone()).or_insert(0.0);
-                *total += count as f64;
-                *total
-            };
-            samples.push((
-                self.key(SHADOW_REQUESTS_TOTAL, &version),
-                Sample::new(at, shadows),
-            ));
-        }
-        // Quiet versions re-publish their current totals so windowed queries
-        // always see a sample (the shape of a Prometheus scrape loop).
-        for (metric, totals) in [
-            (REQUESTS_TOTAL, &self.request_totals),
-            (REQUEST_ERRORS, &self.error_totals),
-            (SHADOW_REQUESTS_TOTAL, &self.shadow_totals),
-            (REQUESTS_SHED_TOTAL, &self.shed_totals),
-        ] {
-            for (version, total) in totals {
-                let key = SeriesKey::new(metric)
-                    .with_label("service", &self.service_label)
-                    .with_label("version", version);
-                if !samples.iter().any(|(k, _)| *k == key) {
-                    samples.push((key, Sample::new(at, *total)));
-                }
-            }
-        }
-        self.store.record_many(samples);
+        });
     }
 
     /// The underlying store handle.
     pub fn store(&self) -> &SharedMetricStore {
         &self.store
-    }
-
-    fn key(&self, metric: &str, version: &str) -> SeriesKey {
-        SeriesKey::new(metric)
-            .with_label("service", &self.service_label)
-            .with_label("version", version)
     }
 }
 
