@@ -17,12 +17,12 @@
 //! shard count back to back, so a ratio pairs a multi-shard pass with the
 //! 1-shard pass next to it, and slow host drift hits both passes of a
 //! pair alike; the trial reports the median pair ratio. The
-//! ratios transfer across hardware far better than raw times — sharding wins
-//! on a single core by cutting per-shard tree depth (fewer cache-missing
-//! node hops per lookup at millions of bindings) and wins again on
-//! multi-core runners by striping lock contention across shards. Both
-//! effects push the ratio below 1.0; a broken sharded path pushes it back
-//! to ~1.0 and fails the gate.
+//! ratios transfer across hardware far better than raw times. Sharding wins
+//! on multi-core runners by striping lock contention across shards, which
+//! pushes the ratio below 1.0; a broken sharded path pushes it back to
+//! ~1.0 and fails the gate. On a single core there is no contention to
+//! stripe, and each shard is a hash table whose lookup is one probe at any
+//! shard count, so there the ratio sits at about 1.0, at the gate's limit.
 //!
 //! Because the measurements are wall-clock, CI runs this figure with
 //! `--threads 1` (serial trials); the *drive* inside a trial still uses up

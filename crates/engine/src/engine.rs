@@ -54,7 +54,7 @@ pub struct EngineConfig {
     /// table (see [`bifrost_proxy::SessionStore`]). Routed decisions and
     /// reported statistics are identical for every shard count. Each
     /// service's proxy is driven by one data-plane lane, so the count moves
-    /// only the depth of the per-shard trees and how many shard locks a
+    /// only the size of each shard's table and how many shard locks a
     /// tick's bindings take, not lock contention.
     pub session_shards: usize,
 }

@@ -9,22 +9,35 @@
 //! request under a sticky split performs a lookup or a bind, and a proxy
 //! fronting a large service holds millions of live bindings. The table is
 //! therefore **sharded by token hash** — `N` independently locked
-//! ([`parking_lot::Mutex`]) shards, each a `BTreeMap` slice of the key
-//! space. Shard assignment is a pure function of the token (a splitmix
+//! ([`parking_lot::Mutex`]) shards, each a hash table over its slice of the
+//! key space. Shard assignment is a pure function of the token (a splitmix
 //! finalizer over [`SessionToken::raw`], see [`bifrost_core::hash`]), so a
 //! token's bindings always live in exactly one shard. A routing call
 //! applies the bindings it makes grouped by shard, one short lock per
 //! touched shard, and concurrent callers contend only when they touch the
-//! same shard. Smaller per-shard trees also cut lookup depth, which is what
-//! makes sharding win even on a single core once the table holds millions
-//! of bindings.
+//! same shard.
+//!
+//! Inside a shard a bind or lookup is one hash-table probe, and a
+//! configuration push clears a shard by resetting its control bytes rather
+//! than freeing one node per binding. The table hashes all 128 bits of the
+//! token with a **keyed** folded multiply whose two 64-bit keys are drawn
+//! at random once per store. The key matters because the proxy also binds
+//! tokens that clients send in cookies: with a fixed hash a client could
+//! choose cookies that all land in one probe chain and turn every bind
+//! into a linear scan (Crosby & Wallach, "Denial of Service via Algorithmic
+//! Complexity Attacks", USENIX Security 2003). The shard hash cannot serve
+//! here either, since within one shard its residue modulo the shard count
+//! is constant. Nothing the store reports depends on the key: every
+//! aggregate is a count, and the table is never iterated in order.
 
 use bifrost_core::hash;
 use bifrost_core::ids::VersionId;
 use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// An RFC-4122-shaped session token carried in the proxy's cookie.
 ///
@@ -109,9 +122,8 @@ impl TokenGenerator {
 
 /// The default shard count of a proxy's sticky-session table.
 ///
-/// Eight shards keep per-shard trees shallow at realistic binding counts
-/// and stripe lock contention well below typical core counts, while
-/// staying cheap for tiny stores.
+/// Eight shards stripe lock contention well below typical core counts,
+/// while staying cheap for tiny stores.
 pub const DEFAULT_SESSION_SHARDS: usize = 8;
 
 /// The maximum shard count of a proxy's sticky-session table. Shards
@@ -119,22 +131,108 @@ pub const DEFAULT_SESSION_SHARDS: usize = 8;
 /// store clamps requested counts to this bound.
 pub const MAX_SESSION_SHARDS: usize = 1_024;
 
+/// A token as the table stores it: four `u32` words, so that a table entry
+/// (key plus a `u32` palette index) is 20 B with 4-byte alignment, where a
+/// `u128` key would pad it to 32 B.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TokenKey([u32; 4]);
+
+impl From<SessionToken> for TokenKey {
+    fn from(token: SessionToken) -> Self {
+        Self([0, 32, 64, 96].map(|shift| (token.raw() >> shift) as u32))
+    }
+}
+
+impl Hash for TokenKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d] = self.0.map(u128::from);
+        state.write_u128(a | b << 32 | c << 64 | d << 96);
+    }
+}
+
+/// The table's hash: two secret 64-bit keys folded into the token by one
+/// 64 × 64 → 128-bit multiply (foldhash's 16-byte path). The keys stay out
+/// of every `Debug` rendering.
+#[derive(Clone, Copy)]
+struct TokenHashKeys {
+    k0: u64,
+    k1: u64,
+}
+
+impl Default for TokenHashKeys {
+    /// Draws fresh keys from the standard library's per-process random
+    /// source.
+    fn default() -> Self {
+        let random = RandomState::new();
+        Self {
+            k0: random.hash_one(1u64),
+            k1: random.hash_one(2u64),
+        }
+    }
+}
+
+impl BuildHasher for TokenHashKeys {
+    type Hasher = TokenHasher;
+
+    fn build_hasher(&self) -> TokenHasher {
+        TokenHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+struct TokenHasher {
+    keys: TokenHashKeys,
+    hash: u64,
+}
+
+impl Hasher for TokenHasher {
+    fn write_u128(&mut self, raw: u128) {
+        let lo = raw as u64 ^ self.keys.k0;
+        let hi = (raw >> 64) as u64 ^ self.keys.k1;
+        let folded = lo as u128 * hi as u128;
+        self.hash = folded as u64 ^ (folded >> 64) as u64;
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the session table hashes only TokenKey, through write_u128")
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// One independently locked slice of the sticky-session table: the bindings
 /// whose token hashes to this shard, plus this shard's lookup counters.
-#[derive(Debug, Default)]
+///
+/// A binding's value is an index into `palette`, the distinct versions this
+/// shard has bound since it was last cleared (a split has only a few).
+#[derive(Default)]
 pub struct SessionShard {
-    bindings: BTreeMap<SessionToken, VersionId>,
+    bindings: HashMap<TokenKey, u32, TokenHashKeys>,
+    palette: Vec<VersionId>,
     hits: u64,
     misses: u64,
 }
 
 impl SessionShard {
+    fn keyed(keys: TokenHashKeys) -> Self {
+        Self {
+            bindings: HashMap::with_hasher(keys),
+            palette: Vec::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
     /// Looks up the version bound to a token, recording a hit or miss.
     pub fn lookup(&mut self, token: SessionToken) -> Option<VersionId> {
-        match self.bindings.get(&token) {
-            Some(version) => {
+        match self.bindings.get(&TokenKey::from(token)) {
+            Some(&index) => {
                 self.hits += 1;
-                Some(*version)
+                Some(self.palette[index as usize])
             }
             None => {
                 self.misses += 1;
@@ -145,7 +243,15 @@ impl SessionShard {
 
     /// Binds a token to a version.
     pub fn bind(&mut self, token: SessionToken, version: VersionId) {
-        self.bindings.insert(token, version);
+        let index = match self.palette.iter().position(|&v| v == version) {
+            Some(index) => index,
+            None => {
+                self.palette.push(version);
+                self.palette.len() - 1
+            }
+        };
+        let index = u32::try_from(index).expect("a shard binds fewer than 2^32 distinct versions");
+        self.bindings.insert(TokenKey::from(token), index);
     }
 
     /// Number of bindings in this shard.
@@ -156,6 +262,33 @@ impl SessionShard {
     /// Whether this shard holds no bindings.
     pub fn is_empty(&self) -> bool {
         self.bindings.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.bindings.clear();
+        self.palette.clear();
+    }
+
+    fn sessions_on(&self, version: VersionId) -> usize {
+        match self.palette.iter().position(|&v| v == version) {
+            Some(index) => {
+                let index = index as u32;
+                self.bindings.values().filter(|&&v| v == index).count()
+            }
+            None => 0,
+        }
+    }
+}
+
+/// Prints the counts only: the table's iteration order depends on its
+/// random keys.
+impl fmt::Debug for SessionShard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SessionShard")
+            .field("len", &self.len())
+            .field("hits", &self.hits)
+            .field("misses", &self.misses)
+            .finish()
     }
 }
 
@@ -188,9 +321,10 @@ impl SessionStore {
     /// Creates an empty store with `shards` shards (clamped to
     /// `1..=`[`MAX_SESSION_SHARDS`]).
     pub fn with_shards(shards: usize) -> Self {
+        let keys = TokenHashKeys::default();
         Self {
             shards: (0..shards.clamp(1, MAX_SESSION_SHARDS))
-                .map(|_| Mutex::default())
+                .map(|_| Mutex::new(SessionShard::keyed(keys)))
                 .collect(),
         }
     }
@@ -228,7 +362,7 @@ impl SessionStore {
     /// retained, matching the pre-sharding behaviour.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().bindings.clear();
+            shard.lock().clear();
         }
     }
 
@@ -256,13 +390,7 @@ impl SessionStore {
     pub fn sessions_on(&self, version: VersionId) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .bindings
-                    .values()
-                    .filter(|v| **v == version)
-                    .count()
-            })
+            .map(|s| s.lock().sessions_on(version))
             .sum()
     }
 }
@@ -374,7 +502,10 @@ mod tests {
             store.bind(token, VersionId::new(i % 3));
             let expected = store.shard_of(token);
             for index in 0..store.shard_count() {
-                let holds = store.shard(index).bindings.contains_key(&token);
+                let holds = store
+                    .shard(index)
+                    .bindings
+                    .contains_key(&TokenKey::from(token));
                 assert_eq!(holds, index == expected, "token in wrong shard");
             }
         }
@@ -382,6 +513,15 @@ mod tests {
         assert_eq!(per_shard.iter().sum::<usize>(), store.len());
         // The hash spreads tokens over all shards.
         assert!(per_shard.iter().all(|&n| n > 0), "shards {per_shard:?}");
+    }
+
+    #[test]
+    fn table_entries_are_twenty_bytes() {
+        // `peak_rss_mb` on perfbench's `sticky_rollout` depends on this: at
+        // peak each of its 8 shards holds about 65K bindings at half load
+        // in 131,072 buckets, and a `u128` key would pad each entry to
+        // 32 B, about 12 MiB more in all.
+        assert_eq!(std::mem::size_of::<(TokenKey, u32)>(), 20);
     }
 
     #[test]

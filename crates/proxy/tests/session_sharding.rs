@@ -7,6 +7,10 @@
 //!   16-shard proxy produce byte-identical routing decisions **and**
 //!   byte-identical [`ProxyStats`] over identical traffic — the grouped
 //!   application of a call's bindings must not depend on the shard count.
+//! * A seeded sticky scenario with returning cookie carriers and a
+//!   configuration push has a **pinned outcome** (stats, session counts and
+//!   per-version bindings), so a change to the table cannot move sticky
+//!   routing unnoticed across commits.
 
 use bifrost_core::ids::{ServiceId, UserId, VersionId};
 use bifrost_core::routing::{DarkLaunchRoute, Percentage, RoutingMode, TrafficSplit};
@@ -193,4 +197,157 @@ fn concurrent_routing_over_the_sharded_store_loses_nothing() {
         stats.per_version.values().sum::<u64>(),
         (threads * per_thread) as u64
     );
+}
+
+/// What [`sticky_outcome`] observes at one point of the scenario.
+#[derive(Debug, PartialEq, Eq)]
+struct StickySnapshot {
+    requests: u64,
+    sticky_hits: u64,
+    per_version: Vec<(u64, u64)>,
+    len: usize,
+    hits: u64,
+    misses: u64,
+    /// `sessions_on` for each of [`STICKY_VERSIONS`], in order.
+    sessions_on: Vec<usize>,
+}
+
+/// The versions of the pinned sticky scenario; one id is above `u32::MAX`.
+const STICKY_VERSIONS: [u64; 4] = [0, 1, 9, (1 << 40) + 3];
+
+fn sticky_split(shares: &[(u64, f64)]) -> ProxyConfig {
+    let split = TrafficSplit::new(
+        shares
+            .iter()
+            .map(|&(v, p)| (VersionId::new(v), Percentage::new(p).unwrap()))
+            .collect(),
+    )
+    .unwrap();
+    ProxyConfig::new(ServiceId::new(0), VersionId::new(0)).with_rule(ProxyRule::split(
+        split,
+        true,
+        UserSelector::All,
+        RoutingMode::CookieBased,
+    ))
+}
+
+fn snapshot(proxy: &BifrostProxy) -> StickySnapshot {
+    let stats = proxy.stats();
+    let sessions = proxy.sessions();
+    StickySnapshot {
+        requests: stats.requests,
+        sticky_hits: stats.sticky_hits,
+        per_version: stats
+            .per_version
+            .iter()
+            .map(|(v, n)| (v.raw(), *n))
+            .collect(),
+        len: sessions.len(),
+        hits: sessions.hits(),
+        misses: sessions.misses(),
+        sessions_on: STICKY_VERSIONS
+            .iter()
+            .map(|&v| sessions.sessions_on(VersionId::new(v)))
+            .collect(),
+    }
+}
+
+/// A seeded sticky scenario in which returning clients carry the cookies
+/// the proxy handed out earlier: a first batch of newcomers, a second batch
+/// in which two thirds of them return (with newcomers, identified users
+/// and cookies the proxy never issued in between), a configuration push,
+/// and a third batch in which every earlier client returns twice, so that
+/// its first request rebinds it and its second hits. Snapshots are
+/// taken before the push, right after it, and after the third batch.
+fn sticky_outcome(shards: usize) -> [StickySnapshot; 3] {
+    let mut proxy = BifrostProxy::new(
+        "pinned-sticky",
+        sticky_split(&[(0, 50.0), (1, 30.0), (STICKY_VERSIONS[3], 20.0)]),
+    )
+    .with_session_shards(shards);
+    let mut foreign = TokenGenerator::seeded(4_242);
+    let mut jar = Vec::new();
+    let route = |proxy: &BifrostProxy, requests: &[ProxyRequest], jar: &mut Vec<_>| {
+        for chunk in requests.chunks(500) {
+            for (decision, _) in proxy.route_many_costed(chunk) {
+                jar.extend(decision.set_cookie);
+            }
+        }
+    };
+
+    let first: Vec<ProxyRequest> = (0..3_000u64)
+        .map(|i| match i % 3 {
+            0 | 1 => ProxyRequest::new(),
+            _ => ProxyRequest::from_user(UserId::new(i)),
+        })
+        .collect();
+    route(&proxy, &first, &mut jar);
+    let second: Vec<ProxyRequest> = jar
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 3 != 0)
+        .flat_map(|(i, &token)| {
+            let extra = match i % 4 {
+                0 => ProxyRequest::new(),
+                1 => ProxyRequest::from_user(UserId::new(10_000 + i as u64)),
+                2 => ProxyRequest::new().with_session(foreign.next_token()),
+                _ => ProxyRequest::from_user(UserId::new(i as u64)).with_session(token),
+            };
+            [ProxyRequest::new().with_session(token), extra]
+        })
+        .collect();
+    route(&proxy, &second, &mut jar);
+    let before = snapshot(&proxy);
+
+    proxy.apply_config(sticky_split(&[
+        (1, 40.0),
+        (9, 35.0),
+        (STICKY_VERSIONS[3], 25.0),
+    ]));
+    let pushed = snapshot(&proxy);
+
+    let third: Vec<ProxyRequest> = jar
+        .iter()
+        .flat_map(|&token| {
+            let returning = ProxyRequest::new().with_session(token);
+            [returning.clone(), ProxyRequest::new(), returning]
+        })
+        .collect();
+    route(&proxy, &third, &mut Vec::new());
+    [before, pushed, snapshot(&proxy)]
+}
+
+#[test]
+fn sticky_routing_outcome_is_pinned() {
+    // Computed when the shards were `BTreeMap`s; no shard count or table
+    // layout may move them.
+    let big = STICKY_VERSIONS[3];
+    let before_push = StickySnapshot {
+        requests: 7_000,
+        sticky_hits: 2_500,
+        per_version: vec![(0, 3_551), (1, 2_026), (big, 1_423)],
+        len: 4_500,
+        hits: 2_500,
+        misses: 500,
+        sessions_on: vec![2_283, 1_314, 0, 903],
+    };
+    let after_push = StickySnapshot {
+        len: 0,
+        sessions_on: vec![0, 0, 0, 0],
+        per_version: before_push.per_version.clone(),
+        ..before_push
+    };
+    let after_return = StickySnapshot {
+        requests: 20_500,
+        sticky_hits: 7_000,
+        per_version: vec![(0, 3_551), (1, 7_445), (9, 4_676), (big, 4_828)],
+        len: 9_000,
+        hits: 7_000,
+        misses: 5_000,
+        sessions_on: vec![0, 3_598, 3_122, 2_280],
+    };
+    let expected = [before_push, after_push, after_return];
+    for shards in [1, 8, 16] {
+        assert_eq!(sticky_outcome(shards), expected, "shards={shards}");
+    }
 }
