@@ -362,7 +362,9 @@ fn digest(outcome: &Outcome) -> [u64; 8] {
 #[test]
 fn serial_outcomes_are_pinned() {
     // Captured with the event loop that handled each tick as it was
-    // popped, before ticks were batched into runs.
+    // popped, before ticks were batched into runs. The processed counts
+    // include one utilisation sample per virtual second, also when the
+    // engine is stepped by `run_until`.
     let traffic = [37_901, 967, 4_390_103_490_192_393_101];
     let log_and_store = [137, 25_213, 9_424_365_328_558_066_616];
     let pin = |processed, now| {
@@ -380,7 +382,7 @@ fn serial_outcomes_are_pinned() {
         ]
     };
     let pinned = [
-        (Drive::Stepped, pin(2_505, 31_000_000)),
+        (Drive::Stepped, pin(2_534, 31_000_000)),
         (Drive::ToCompletion, pin(2_533, 30_000_000)),
     ];
     for (drive, pin) in pinned {
@@ -475,9 +477,10 @@ fn ticks_skipped_before_a_late_proxy_leave_later_ticks_unchanged() {
         proxies: vec![engine.proxy(service).unwrap().read().stats()],
     };
     // Captured with the stream that sliced each tick from its materialised
-    // arrival plan.
+    // arrival plan; the processed count includes the utilisation samples
+    // after the first `run_until`.
     let pinned = [
-        308,
+        332,
         30_000_000,
         7_464,
         191,

@@ -358,25 +358,27 @@ impl BifrostEngine {
             }
             self.plane.step(&run, &self.proxies);
             run.clear();
-            self.handle_action(due.at, due.action, deadline);
+            self.handle_action(due.at, due.action);
         }
         self.plane.step(&run, &self.proxies);
         processed
     }
 
-    fn handle_action(&mut self, at: SimTime, action: EngineAction, deadline: SimTime) {
+    fn handle_action(&mut self, at: SimTime, action: EngineAction) {
         match action {
             EngineAction::SampleUtilization => {
                 let utilization = self.cpu.sample_utilization(at);
                 self.utilization_trace.push((at, utilization));
-                let next = at + UTILIZATION_SAMPLE_INTERVAL;
-                if next <= deadline
-                    && !(self.unfinished == 0
-                        && self.pending_traffic_ticks == 0
-                        && self.queue.is_empty())
+                // The next sample stays queued past this call's deadline, so
+                // a run stepped by many `run_until` calls keeps sampling.
+                if !(self.unfinished == 0
+                    && self.pending_traffic_ticks == 0
+                    && self.queue.is_empty())
                 {
-                    self.queue
-                        .schedule_at(next, EngineAction::SampleUtilization);
+                    self.queue.schedule_at(
+                        at + UTILIZATION_SAMPLE_INTERVAL,
+                        EngineAction::SampleUtilization,
+                    );
                 }
             }
             EngineAction::StartStrategy { strategy } => self.start_strategy(strategy, at),
@@ -1022,6 +1024,39 @@ mod tests {
             .map(|(_, u)| *u)
             .fold(0.0f64, f64::max);
         assert!(peak > 10.0, "peak {peak}");
+    }
+
+    #[test]
+    fn stepped_runs_sample_utilisation_like_one_run() {
+        let trace = |steps: u64| {
+            let mut f = fixture();
+            feed_low_errors(&f.store, 300);
+            for _ in 0..20 {
+                let strategy = StrategyBuilder::new("canary", f.catalog.clone())
+                    .phase(
+                        PhaseSpec::canary(
+                            "canary-5",
+                            f.search,
+                            f.stable,
+                            f.fast,
+                            Percentage::new(5.0).unwrap(),
+                        )
+                        .check(error_check(2, 15))
+                        .duration_secs(30),
+                    )
+                    .build()
+                    .unwrap();
+                f.engine.schedule(strategy, SimTime::ZERO);
+            }
+            for step in 1..=steps {
+                f.engine.run_until(SimTime::from_secs(30 * step / steps));
+            }
+            f.engine.utilization_trace().to_vec()
+        };
+        let single = trace(1);
+        assert_eq!(single.len(), 30);
+        assert!(single.iter().any(|&(_, u)| u > 0.0));
+        assert_eq!(trace(30), single);
     }
 
     #[test]
