@@ -14,11 +14,11 @@
 //! * a [`VersionBackend`] is the running instance: one single-core
 //!   [`CpuResource`] per replica, dispatched least-backlogged-first, with
 //!   arrivals beyond the queue bound shed immediately;
-//! * a [`BackendFleet`] keys the running servers by `(ServiceId,
-//!   VersionId)` so every traffic stream of a service charges the same
-//!   replicas — which is exactly what lets a 20% dark launch measurably
-//!   heat the shadow version. It holds one map per service, so the engine
-//!   can lend each service's servers to its own data-plane worker.
+//! * a [`BackendFleet`] keys running servers by `(ServiceId, VersionId)`.
+//!   The engine itself keeps one server map per service in its data plane,
+//!   so every traffic stream of a service charges the same replicas —
+//!   which is exactly what lets a 20% dark launch measurably heat the
+//!   shadow version.
 //!
 //! Latency becomes load-dependent through [`WorkReceipt::queueing_delay`]:
 //! below saturation a request starts almost immediately and its latency is
@@ -262,9 +262,9 @@ impl fmt::Debug for VersionBackend {
     }
 }
 
-/// The running servers of one service, keyed by version: the unit the
-/// engine lends to a data-plane worker along with that service's streams
-/// and proxy-VM CPU (see [`crate::traffic`]).
+/// The running servers of one service, keyed by version. The data plane
+/// keeps one per service, next to that service's streams and proxy-VM CPU
+/// (see [`crate::traffic`]).
 #[derive(Debug, Default)]
 pub(crate) struct ServiceBackends {
     servers: BTreeMap<VersionId, VersionBackend>,
@@ -284,6 +284,11 @@ impl ServiceBackends {
             .or_insert_with(|| VersionBackend::new(*spec))
     }
 
+    /// The running server of `version`, if any.
+    pub(crate) fn server(&self, version: VersionId) -> Option<&VersionBackend> {
+        self.servers.get(&version)
+    }
+
     /// Iterates mutably over the running servers in version order.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (VersionId, &mut VersionBackend)> {
         self.servers
@@ -292,11 +297,8 @@ impl ServiceBackends {
     }
 }
 
-/// The engine's running backend servers, one [`VersionBackend`] per
-/// `(service, version)`, held in per-service maps. Every traffic stream of
-/// a service dispatches into the same servers, so primary and shadow load
-/// of concurrent streams contend realistically; the per-service maps let
-/// the engine lend each service's servers to a different worker.
+/// Running backend servers of several services, one [`VersionBackend`] per
+/// `(service, version)`, for harnesses that dispatch outside an engine.
 #[derive(Debug, Default)]
 pub struct BackendFleet {
     services: BTreeMap<ServiceId, ServiceBackends>,
@@ -317,12 +319,10 @@ impl BackendFleet {
         version: VersionId,
         spec: &QueuedBackend,
     ) -> &mut VersionBackend {
-        self.service_mut(service).ensure(version, spec)
-    }
-
-    /// The running server of `(service, version)`, if any.
-    pub fn server(&self, service: ServiceId, version: VersionId) -> Option<&VersionBackend> {
-        self.services.get(&service)?.servers.get(&version)
+        self.services
+            .entry(service)
+            .or_default()
+            .ensure(version, spec)
     }
 
     /// Iterates mutably over the running servers of one service.
@@ -334,30 +334,6 @@ impl BackendFleet {
             .get_mut(&service)
             .into_iter()
             .flat_map(ServiceBackends::iter_mut)
-    }
-
-    /// Number of running version servers.
-    pub fn len(&self) -> usize {
-        self.services.values().map(|s| s.servers.len()).sum()
-    }
-
-    /// Whether no server has been booted yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The server map of `service`, created empty on first sight.
-    pub(crate) fn service_mut(&mut self, service: ServiceId) -> &mut ServiceBackends {
-        self.services.entry(service).or_default()
-    }
-
-    /// Iterates mutably over every service's server map in service order.
-    pub(crate) fn services_mut(
-        &mut self,
-    ) -> impl Iterator<Item = (ServiceId, &mut ServiceBackends)> {
-        self.services
-            .iter_mut()
-            .map(|(service, servers)| (*service, servers))
     }
 }
 
@@ -509,10 +485,9 @@ mod tests {
         assert_eq!(server.admitted(), 1);
         fleet.ensure(service, v2, &spec(10));
         fleet.ensure(ServiceId::new(2), v1, &spec(10));
-        assert_eq!(fleet.len(), 3);
-        assert!(!fleet.is_empty());
-        assert_eq!(fleet.servers_of_mut(service).count(), 2);
-        assert!(fleet.server(service, v1).is_some());
-        assert!(fleet.server(service, VersionId::new(9)).is_none());
+        let versions: Vec<_> = fleet.servers_of_mut(service).map(|(v, _)| v).collect();
+        assert_eq!(versions, [v1, v2]);
+        assert_eq!(fleet.servers_of_mut(ServiceId::new(2)).count(), 1);
+        assert_eq!(fleet.servers_of_mut(ServiceId::new(9)).count(), 0);
     }
 }

@@ -1,28 +1,31 @@
-//! Worker-count equivalence: an enactment with many partitions produces
-//! the same traffic statistics, event log, metric store, backend counts
-//! and proxy statistics at 1, 2 and 8 data-plane workers, whether it is
-//! stepped with `run_until` or driven by `run_to_completion`.
+//! Worker-count equivalence: an enactment with many services produces the
+//! same traffic statistics, event log, metric store, backend counts and
+//! proxy statistics at 1, 2 and 8 data-plane workers, whether it is
+//! stepped with `run_until` or driven by `run_to_completion`. Also the
+//! partition and label rules, and the counters of a service with two
+//! streams.
 
 use super::REQUESTS_PER_WORKER;
 use crate::backends::QueuedBackend;
 use crate::cost::EngineCostModel;
 use crate::engine::{BifrostEngine, EngineConfig};
 use crate::events::{EngineEvent, EventLog};
-use crate::traffic::{BackendProfile, TrafficHandle, TrafficProfile, TrafficStats};
+use crate::traffic::{BackendProfile, TrafficHandle, TrafficProfile, TrafficStats, TrafficStream};
 use bifrost_core::check::QueryAggregation;
 use bifrost_core::phase::PhaseCheck;
 use bifrost_core::prelude::*;
+use bifrost_metrics::traffic::REQUESTS_TOTAL;
 use bifrost_metrics::{MetricStore, SharedMetricStore};
 use bifrost_proxy::ProxyStats;
 use bifrost_simnet::SimTime;
 use bifrost_workload::{LoadProfile, RequestMix};
 use std::time::Duration;
 
-/// Services in the scenario. Stream labels: service 0 carries two streams
-/// (`s0-a`, `s0-b`), services 1 and 2 share the label `shared`, service 3
-/// has queued backends and a dark launch that overloads its candidate,
-/// service 5's candidate fails often enough to trip an exception check,
-/// and service 6 has traffic but no proxy.
+/// Services in the scenario. Service `i` records under the label `s{i}`.
+/// Service 0 carries two streams, service 3 has queued backends and a dark
+/// launch that overloads its candidate, service 5's candidate fails often
+/// enough to trip an exception check, and service 6 has traffic but no
+/// proxy.
 const SERVICES: u64 = 7;
 
 /// The batching tick.
@@ -122,10 +125,7 @@ fn scenario(workers: usize) -> Scenario {
         engine.register_proxy(service, stable);
     }
 
-    let label = |i: usize| match i {
-        1 | 2 => "shared".to_string(),
-        _ => format!("s{i}"),
-    };
+    let label = |i: usize| format!("s{i}");
     for (i, &(service, [stable, canary])) in services.iter().enumerate().take(6) {
         let errors = check("v2-errors", &label(i), "request_errors", 500.0, false);
         let phases = [
@@ -162,12 +162,12 @@ fn scenario(workers: usize) -> Scenario {
         engine.schedule(strategy, SimTime::from_secs(1 + i as u64));
     }
 
-    let profile = |i: usize, label: String, rps: f64| {
+    let profile = |i: usize, rps: f64| {
         let (service, [stable, canary]) = services[i];
         let base = TrafficProfile::new(service, load(rps))
             .with_tick(TICK)
             .with_cores(3)
-            .with_service_label(label);
+            .with_service_label(label(i));
         match i {
             3 => base
                 .with_queued_backend(
@@ -207,11 +207,11 @@ fn scenario(workers: usize) -> Scenario {
                 ),
         }
     };
-    let mut traffic = vec![engine.attach_traffic(profile(0, "s0-a".into(), 150.0), store.clone())];
+    let mut traffic = vec![engine.attach_traffic(profile(0, 150.0), store.clone())];
     for i in 1..SERVICES as usize {
-        traffic.push(engine.attach_traffic(profile(i, label(i), 200.0), store.clone()));
+        traffic.push(engine.attach_traffic(profile(i, 200.0), store.clone()));
     }
-    traffic.push(engine.attach_traffic(profile(0, "s0-b".into(), 120.0), store.clone()));
+    traffic.push(engine.attach_traffic(profile(0, 120.0), store.clone()));
     Scenario {
         engine,
         store,
@@ -246,7 +246,7 @@ fn run(workers: usize, drive: Drive) -> Outcome {
             .iter()
             .flat_map(|&(service, versions)| versions.map(|version| (service, version)))
             .filter_map(|(service, version)| {
-                let server = engine.backends().server(service, version)?;
+                let server = engine.backend(service, version)?;
                 Some((service, version, server.admitted(), server.shed()))
             })
             .collect(),
@@ -258,15 +258,43 @@ fn run(workers: usize, drive: Drive) -> Outcome {
     }
 }
 
-#[test]
-fn partitions_follow_services_and_shared_labels() {
-    let mut engine = scenario(1).engine;
+/// The streams of `engine` in attach order.
+fn streams(engine: &mut BifrostEngine) -> Vec<&TrafficStream> {
     let plane = engine.plane_mut();
-    // Streams in attach order: s0-a, s1..s6, s0-b. Service 0's two streams
-    // share partition 0; services 1 and 2 share a label, so partition 1.
-    assert_eq!(plane.partition, vec![0, 1, 1, 3, 4, 5, 6, 0]);
-    let named = plane.partition.iter().enumerate().filter(|(i, p)| i == *p);
-    assert_eq!(named.count(), 6);
+    let services = &plane.services;
+    plane
+        .streams
+        .iter()
+        .map(|&(entry, place)| &services[entry].streams[place])
+        .collect()
+}
+
+#[test]
+fn one_partition_per_service() {
+    let Scenario {
+        mut engine,
+        services,
+        ..
+    } = scenario(1);
+    let plane = engine.plane_mut();
+    // Streams in attach order: s0, s1..s6, then service 0's second stream,
+    // which joins service 0's entry.
+    assert_eq!(
+        plane.streams,
+        vec![
+            (0, 0),
+            (1, 0),
+            (2, 0),
+            (3, 0),
+            (4, 0),
+            (5, 0),
+            (6, 0),
+            (0, 1)
+        ]
+    );
+    let partitions: Vec<_> = plane.services.iter().map(|p| p.service).collect();
+    let expected: Vec<_> = services.iter().map(|&(service, _)| service).collect();
+    assert_eq!(partitions, expected);
 }
 
 #[test]
@@ -319,9 +347,7 @@ fn run_to_completion_stops_after_the_last_tick() {
     for workers in [1, 2] {
         let mut engine = scenario(workers).engine;
         engine.run_to_completion(SimTime::from_secs(3_600));
-        let last_tick = engine
-            .plane_mut()
-            .streams
+        let last_tick = streams(&mut engine)
             .iter()
             .filter_map(|stream| stream.batch_times().last().copied())
             .max()
@@ -364,9 +390,11 @@ fn serial_outcomes_are_pinned() {
     // Captured with the event loop that handled each tick as it was
     // popped, before ticks were batched into runs. The processed counts
     // include one utilisation sample per virtual second, also when the
-    // engine is stepped by `run_until`.
-    let traffic = [37_901, 967, 4_390_103_490_192_393_101];
-    let log_and_store = [137, 25_213, 9_424_365_328_558_066_616];
+    // engine is stepped by `run_until`. Since service 0's two streams
+    // record under the label its checks query, those checks pass and its
+    // strategy runs its dark phase instead of rolling back.
+    let traffic = [37_901, 1_011, 6_197_488_157_075_887_905];
+    let log_and_store = [148, 25_205, 1_356_860_636_643_948_748];
     let pin = |processed, now| {
         let [requests, failed, latency_bits] = traffic;
         let [events, samples, sample_bits] = log_and_store;
@@ -382,8 +410,8 @@ fn serial_outcomes_are_pinned() {
         ]
     };
     let pinned = [
-        (Drive::Stepped, pin(2_534, 31_000_000)),
-        (Drive::ToCompletion, pin(2_533, 30_000_000)),
+        (Drive::Stepped, pin(2_543, 31_000_000)),
+        (Drive::ToCompletion, pin(2_542, 30_000_000)),
     ];
     for (drive, pin) in pinned {
         assert_eq!(digest(&run(1, drive)), pin, "{drive:?}");
@@ -394,7 +422,7 @@ fn serial_outcomes_are_pinned() {
 fn streams_hold_no_more_arrivals_than_their_largest_tick() {
     let mut engine = scenario(2).engine;
     engine.run_to_completion(SimTime::from_secs(3_600));
-    for (index, stream) in engine.plane_mut().streams.iter().enumerate() {
+    for (index, stream) in streams(&mut engine).into_iter().enumerate() {
         let largest = (0..stream.batch_times().len())
             .map(|batch| stream.batch_len(batch))
             .max()
@@ -490,4 +518,147 @@ fn ticks_skipped_before_a_late_proxy_leave_later_ticks_unchanged() {
         17_732_996_005_104_905_326,
     ];
     assert_eq!(digest(&outcome), pinned);
+}
+
+/// One service `search` with versions `v1` and `v2`, its proxy registered
+/// and a 30% canary running from 0 s to 20 s.
+fn search_engine(seed: u64) -> (BifrostEngine, SharedMetricStore, ServiceId, [VersionId; 2]) {
+    let mut catalog = ServiceCatalog::new();
+    let service = catalog.add_service(Service::new("search"));
+    let mut version = |name: &str, host: &str| {
+        catalog
+            .add_version(service, ServiceVersion::new(name, Endpoint::new(host, 80)))
+            .unwrap()
+    };
+    let versions = [version("v1", "10.2.0.1"), version("v2", "10.2.0.2")];
+    let mut engine = BifrostEngine::new(EngineConfig::default().with_seed(Seed::new(seed)));
+    let store = SharedMetricStore::new();
+    engine.register_store_provider("prometheus", store.clone());
+    engine.register_proxy(service, versions[0]);
+    let canary = PhaseSpec::canary(
+        "canary",
+        service,
+        versions[0],
+        versions[1],
+        Percentage::new(30.0).unwrap(),
+    )
+    .duration_secs(20);
+    let strategy = StrategyBuilder::new("search-canary", catalog)
+        .phase(canary)
+        .build()
+        .unwrap();
+    engine.schedule(strategy, SimTime::ZERO);
+    (engine, store, service, versions)
+}
+
+/// A profile on `service` under its default label, naming `versions` as
+/// `v1`, `v2`, ….
+fn default_label_profile(service: ServiceId, versions: &[VersionId], rps: f64) -> TrafficProfile {
+    versions.iter().zip(1..).fold(
+        TrafficProfile::new(service, load(rps)).with_tick(TICK),
+        |profile, (&version, n)| {
+            profile.with_backend(version, format!("v{n}"), BackendProfile::default())
+        },
+    )
+}
+
+/// Every `requests_total` series of `store`: its `version` label and its
+/// sample values in time order.
+fn request_totals(store: &SharedMetricStore) -> Vec<(String, Vec<f64>)> {
+    let store = store.snapshot();
+    store
+        .keys()
+        .filter(|key| key.name() == REQUESTS_TOTAL)
+        .map(|key| {
+            let version = key.label("version").unwrap().to_string();
+            let values = store.series(key).unwrap().samples().iter();
+            (version, values.map(|sample| sample.value).collect())
+        })
+        .collect()
+}
+
+/// Asserts that every `requests_total` series of `store` never decreases
+/// and ends at the requests the streams routed to its version.
+fn assert_one_running_total(
+    store: &SharedMetricStore,
+    stats: &[TrafficStats],
+    versions: &[VersionId],
+) {
+    let totals = request_totals(store);
+    assert_eq!(totals.len(), versions.len());
+    for (label, values) in totals {
+        let decrease = values.windows(2).position(|pair| pair[0] > pair[1]);
+        assert_eq!(decrease, None, "requests_total of {label} decreases");
+        let n: usize = label[1..].parse().unwrap();
+        let routed: u64 = stats
+            .iter()
+            .map(|s| s.per_version.get(&versions[n - 1]).copied().unwrap_or(0))
+            .sum();
+        assert_eq!(values.last().copied(), Some(routed as f64), "{label}");
+    }
+}
+
+#[test]
+fn two_streams_of_one_service_add_to_one_running_total() {
+    let (mut engine, store, service, versions) = search_engine(31);
+    let handles = [150.0, 90.0].map(|rps| {
+        engine.attach_traffic(
+            default_label_profile(service, &versions, rps),
+            store.clone(),
+        )
+    });
+    engine.run_to_completion(SimTime::from_secs(3_600));
+    let stats = handles.map(|handle| engine.traffic_stats(handle).unwrap().clone());
+    assert!(stats.iter().all(|s| s.per_version.len() == 2), "{stats:?}");
+    assert_one_running_total(&store, &stats, &versions);
+}
+
+#[test]
+fn a_later_stream_registers_only_its_new_versions() {
+    let (mut engine, store, service, versions) = search_engine(32);
+    let first = engine.attach_traffic(
+        default_label_profile(service, &versions, 150.0),
+        store.clone(),
+    );
+    engine.run_until(SimTime::from_secs(5));
+    // The later stream names a third version the proxy never routes to.
+    let third = VersionId::new(99);
+    let all = [versions[0], versions[1], third];
+    let later = engine.attach_traffic(default_label_profile(service, &all, 90.0), store.clone());
+    engine.run_to_completion(SimTime::from_secs(3_600));
+    let stats = [first, later].map(|handle| engine.traffic_stats(handle).unwrap().clone());
+    assert!(stats[1].requests > 0);
+    assert_one_running_total(&store, &stats, &all);
+    let totals = request_totals(&store);
+    let (_, v3) = totals.iter().find(|(label, _)| label == "v3").unwrap();
+    assert!(v3.iter().all(|&value| value == 0.0));
+}
+
+#[test]
+#[should_panic(expected = "the label `s2` already names service")]
+fn a_label_names_one_service() {
+    let Scenario {
+        mut engine, store, ..
+    } = scenario(1);
+    let unlabelled = ServiceId::new(SERVICES);
+    engine.attach_traffic(
+        TrafficProfile::new(unlabelled, load(10.0)).with_service_label("s2"),
+        store,
+    );
+}
+
+#[test]
+#[should_panic(expected = "records under the label `s1`, not `other`")]
+fn a_service_records_under_one_label() {
+    let Scenario {
+        mut engine,
+        store,
+        services,
+        ..
+    } = scenario(1);
+    let (service, _) = services[1];
+    engine.attach_traffic(
+        TrafficProfile::new(service, load(10.0)).with_service_label("other"),
+        store,
+    );
 }

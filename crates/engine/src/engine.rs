@@ -1,7 +1,7 @@
 //! The Bifrost engine: strategy scheduling, timed check execution, state
 //! transitions, and proxy configuration over virtual time.
 
-use crate::backends::BackendFleet;
+use crate::backends::VersionBackend;
 use crate::cost::EngineCostModel;
 use crate::dataplane::{DataPlane, Tick};
 use crate::events::{EngineEvent, EventLog, EventQueue};
@@ -117,7 +117,8 @@ pub struct BifrostEngine {
     providers: ProviderRegistry,
     proxies: ProxyFleet,
     executions: BTreeMap<StrategyId, StrategyExecution>,
-    /// The traffic streams, their proxy-VM CPUs and backend servers.
+    /// The traffic streams with their services' proxy-VM CPUs, backend
+    /// servers and recorders.
     plane: DataPlane,
     events: EventLog,
     next_strategy_id: u64,
@@ -195,21 +196,27 @@ impl BifrostEngine {
     /// the stream's statistics.
     ///
     /// Streams targeting the same service share that service's proxy-VM
-    /// CPU (the first attached profile sizes it), so concurrent streams
-    /// contend realistically. Give each stream a distinct service label
-    /// when recording into the same store — two recorders publishing under
-    /// one label would interleave their independent cumulative totals into
-    /// the same counter series (services that share a label still step
-    /// deterministically: the data plane keeps their ticks in one
-    /// partition, see [`crate::traffic`]).
+    /// CPU (the first attached profile sizes it) and backend servers, so
+    /// concurrent streams contend realistically. They also share one
+    /// recorder, so each counter series stays one running total. The first
+    /// stream of a service records into `store`; a later stream's `store`
+    /// is not used, and it registers only the versions the service has not
+    /// recorded yet. A service records under one `service` label, and a
+    /// label names one service.
+    ///
+    /// # Panics
+    ///
+    /// If the profile's `service` label already names another service, or
+    /// if a later stream of a service names a different label than its
+    /// first stream.
     pub fn attach_traffic(
         &mut self,
         profile: TrafficProfile,
         store: SharedMetricStore,
     ) -> TrafficHandle {
-        let stream = TrafficStream::new(profile, self.plane.len(), self.config.seed, store);
+        let stream = TrafficStream::new(profile, self.plane.len(), self.config.seed);
         let tick_times = stream.batch_times();
-        let index = self.plane.attach(stream);
+        let index = self.plane.attach(stream, store);
         self.pending_traffic_ticks += tick_times.len();
         self.queue
             .schedule_batch(tick_times.into_iter().enumerate().map(|(batch, at)| {
@@ -229,11 +236,11 @@ impl BifrostEngine {
         self.plane.stats(handle.0)
     }
 
-    /// The running queued backend servers (for utilisation queries by
-    /// experiment harnesses and tests). Servers boot lazily on the first
-    /// dispatch of a version with a queued backend model.
-    pub fn backends(&self) -> &BackendFleet {
-        self.plane.backends()
+    /// The running queued backend server of `(service, version)`, if any.
+    /// Servers boot lazily on the first dispatch of a version with a
+    /// queued backend model.
+    pub fn backend(&self, service: ServiceId, version: VersionId) -> Option<&VersionBackend> {
+        self.plane.backend(service, version)
     }
 
     /// Schedules a strategy to start at `start_at`. Returns a handle for

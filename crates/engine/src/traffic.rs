@@ -21,8 +21,9 @@
 //! compiled-config hot path), charges every request's routing cost to the
 //! proxy's own CPU, models the serving version's backend latency and error
 //! rate, and records the observed outcomes into the shared metric store via
-//! [`bifrost_metrics::TrafficSeriesRecorder`] — so checks evaluate traffic
-//! the proxies actually routed instead of hand-injected samples.
+//! its service's [`bifrost_metrics::TrafficSeriesRecorder`] — so checks
+//! evaluate traffic the proxies actually routed instead of hand-injected
+//! samples.
 //!
 //! Ticks are the engine's data plane. The engine collects consecutive
 //! `TrafficTick` events into a run and replays it before it handles the
@@ -30,18 +31,20 @@
 //! utilisation sample) or returns at its deadline. A tick schedules no
 //! events and touches no engine CPU, event log or strategy state, and each
 //! control event still sees every tick queued before it, so this equals
-//! handling each event as it is popped. A run is split into partitions:
-//! the streams of one service, merged with every other service whose
-//! streams record under the same `service` label. Each partition owns its
-//! streams, its service's proxy-VM CPU and backend servers, and replays
-//! its ticks in queue order, on one of `min(available_parallelism(),
-//! partitions the run touches, ⌈arrivals / 1024⌉)` threads. The engine's
-//! own thread is one of them, so a run that touches one partition, a run
-//! of at most 1024 arrivals, or a host with one CPU spawns no thread.
-//! Partitions write disjoint series of the metric store. The store hands
-//! out private series ids in first-record order, which can differ between
-//! worker counts, but every read is in key order, so every output is
-//! byte-identical at any worker count.
+//! handling each event as it is popped. A run is split by service. Each
+//! service owns its streams, its proxy-VM CPU, its backend servers and one
+//! recorder, and replays its ticks in queue order, on one of
+//! `min(available_parallelism(), services the run touches, ⌈arrivals /
+//! 1024⌉)` threads. The engine's own thread is one of them, so a run that
+//! touches one service, a run of at most 1024 arrivals, or a host with one
+//! CPU spawns no thread.
+//!
+//! A service records under one `service` label, and a label names one
+//! service, so services write disjoint series of the metric store, and the
+//! streams of a service add to one running total per counter series. The
+//! store hands out private series ids in first-record order, which can
+//! differ between worker counts, but every read is in key order, so every
+//! output is byte-identical at any worker count.
 //!
 //! Everything derives from the engine seed: an N-thread multi-trial run
 //! produces byte-identical traffic statistics to a 1-thread run.
@@ -57,7 +60,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::backends::{BackendDispatch, QueuedBackend, ServiceBackends};
+use crate::backends::{BackendDispatch, QueuedBackend, ServiceBackends, VersionBackend};
 use crate::proxies::ProxyHandle;
 
 /// The backend behaviour of one service version under traffic: how long the
@@ -222,6 +225,11 @@ impl TrafficProfile {
         self.tick
     }
 
+    /// The `service` label the recorded series carry.
+    pub(crate) fn service_label(&self) -> &str {
+        &self.service_label
+    }
+
     /// The backend model of `version`: the default unlimited-capacity
     /// [`BackendProfile`] when the profile did not name it explicitly.
     pub fn backend_of(&self, version: VersionId) -> BackendModel {
@@ -337,12 +345,67 @@ impl fmt::Display for TrafficHandle {
     }
 }
 
+/// What every stream of one service shares: the proxy VM's CPU, so
+/// concurrent streams through the same proxy contend for the same cores;
+/// the versions' backend servers, so they charge the same replicas; and the
+/// recorder, so each counter series is one running total.
+#[derive(Debug)]
+pub(crate) struct ServiceState {
+    cpu: CpuResource,
+    servers: ServiceBackends,
+    recorder: TrafficSeriesRecorder,
+    /// Version → the recorder's slot for its label, so recording a request
+    /// indexes the recorder's slots. Versions no profile named are added on
+    /// first sight under their id rendering.
+    slots: BTreeMap<VersionId, VersionSlot>,
+}
+
+impl ServiceState {
+    /// The state of a service whose first stream has `profile`: the
+    /// profile sizes the proxy VM and names the `service` label.
+    pub(crate) fn new(profile: &TrafficProfile, store: SharedMetricStore) -> Self {
+        let mut state = Self {
+            cpu: CpuResource::new(profile.cores),
+            servers: ServiceBackends::default(),
+            recorder: TrafficSeriesRecorder::new(store, profile.service_label.clone()),
+            slots: BTreeMap::new(),
+        };
+        state.register(profile);
+        state
+    }
+
+    /// Registers the versions `profile` names that have no slot yet, with
+    /// their counters at zero. Versions the service already records keep
+    /// their slot, and no total is republished.
+    pub(crate) fn register(&mut self, profile: &TrafficProfile) {
+        let new: Vec<_> = profile
+            .version_labels
+            .iter()
+            .filter(|(version, _)| !self.slots.contains_key(version))
+            .collect();
+        let labels = new.iter().map(|(_, label)| label.as_str());
+        self.recorder
+            .register_versions(labels, SimTime::ZERO.to_timestamp());
+        for (&version, label) in new {
+            self.slots.insert(version, self.recorder.slot(label));
+        }
+    }
+
+    /// The `service` label the service records under.
+    pub(crate) fn label(&self) -> &str {
+        self.recorder.service_label()
+    }
+
+    /// The running backend server of `version`, if any.
+    pub(crate) fn server(&self, version: VersionId) -> Option<&VersionBackend> {
+        self.servers.server(version)
+    }
+}
+
 /// One attached traffic stream: its per-tick arrival schedule, the buffer
-/// each tick's arrivals are regenerated into, the seeded RNG for backend
-/// behaviour, and the recorder feeding the metric store. The proxy VM's
-/// CPU is *not* part of the stream — the data plane keys one
-/// [`CpuResource`] per service, so concurrent streams through the same
-/// proxy contend for the same cores.
+/// each tick's arrivals are regenerated into, and the seeded RNGs for
+/// backend behaviour. What it shares with the other streams of its service
+/// is a [`ServiceState`].
 pub(crate) struct TrafficStream {
     profile: TrafficProfile,
     /// One entry per non-empty tick: its end, its arrival count and the
@@ -361,14 +424,9 @@ pub(crate) struct TrafficStream {
     /// primary split, the shadow load still occupies the shared replicas,
     /// so primary queueing there degrades — deliberately.)
     shadow_rng: SimRng,
-    recorder: TrafficSeriesRecorder,
     stats: TrafficStats,
     /// Scratch buffer reused across ticks to build the batch's requests.
     scratch: Vec<ProxyRequest>,
-    /// Version → the recorder's slot for its label, so recording a request
-    /// indexes the recorder's slots. Versions the profile did not name are
-    /// added on first sight under their id rendering.
-    slots: BTreeMap<VersionId, VersionSlot>,
 }
 
 impl TrafficStream {
@@ -376,54 +434,27 @@ impl TrafficStream {
     /// derive from the seed's `"traffic"` stream (namespaced by stream
     /// index so two streams never replay the same sequence); one pass over
     /// them records each non-empty tick's checkpoint and keeps no arrival.
-    pub(crate) fn new(
-        profile: TrafficProfile,
-        index: usize,
-        seed: Seed,
-        store: SharedMetricStore,
-    ) -> Self {
+    pub(crate) fn new(profile: TrafficProfile, index: usize, seed: Seed) -> Self {
         let stream_seed = seed.stream(&format!("traffic-{index}"));
         let ticks = profile
             .load
             .cursor_seeded(stream_seed)
             .ticks(profile.tick)
             .collect();
-        let mut recorder = TrafficSeriesRecorder::new(store, profile.service_label.clone());
-        recorder.register_versions(
-            profile.version_labels.values().map(String::as_str),
-            SimTime::ZERO.to_timestamp(),
-        );
-        let slots = profile
-            .version_labels
-            .iter()
-            .map(|(&version, label)| (version, recorder.slot(label)))
-            .collect();
         Self {
             rng: SimRng::seeded(stream_seed.stream("backends").value()),
             shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
-            recorder,
             ticks,
             arrivals: Vec::new(),
-            slots,
             profile,
             stats: TrafficStats::default(),
             scratch: Vec::new(),
         }
     }
 
-    /// The service this stream targets.
-    pub(crate) fn service(&self) -> ServiceId {
-        self.profile.service
-    }
-
-    /// The `service` label this stream's series are recorded under.
-    pub(crate) fn service_label(&self) -> &str {
-        &self.profile.service_label
-    }
-
-    /// The proxy VM core count this stream's profile asks for.
-    pub(crate) fn cores(&self) -> usize {
-        self.profile.cores
+    /// The profile this stream was attached with.
+    pub(crate) fn profile(&self) -> &TrafficProfile {
+        &self.profile
     }
 
     /// The tick end times of every non-empty batch, for scheduling.
@@ -449,20 +480,26 @@ impl TrafficStream {
 
     /// Regenerates the `batch`-th tick's arrivals from its checkpoint and
     /// routes them through `proxy` at virtual time `at` (the tick's window
-    /// end), charging routing cost to the service's shared proxy `cpu`,
+    /// end), charging routing cost to the service's shared proxy CPU,
     /// dispatching primary *and* shadow decisions into the service's
-    /// backend `servers`, and records the outcomes.
+    /// backend servers, and records the outcomes with the service's
+    /// recorder.
     pub(crate) fn route_batch(
         &mut self,
         batch: usize,
         proxy: &ProxyHandle,
-        cpu: &mut CpuResource,
-        servers: &mut ServiceBackends,
+        service: &mut ServiceState,
         at: SimTime,
     ) {
         let Some(tick) = self.ticks.get(batch) else {
             return;
         };
+        let ServiceState {
+            cpu,
+            servers,
+            recorder,
+            slots,
+        } = service;
         self.arrivals.clear();
         self.arrivals.reserve_exact(tick.count);
         self.arrivals
@@ -474,7 +511,7 @@ impl TrafficStream {
                 .iter()
                 .map(|arrival| ProxyRequest::from_user(arrival.user)),
         );
-        // All streams of a service replay on one data-plane lane, so no
+        // All streams of a service replay on one data-plane worker, so no
         // other stream routes through this proxy meanwhile and the read
         // lock is uncontended.
         let routed = proxy.read().route_many_costed(self.scratch.iter());
@@ -539,10 +576,10 @@ impl TrafficStream {
             *self.stats.per_version.entry(decision.primary).or_insert(0) += 1;
             self.stats.total_latency_ms += latency_ms;
             self.stats.latencies_ms.push(latency_ms);
-            let slot = slot_of(&mut self.slots, &mut self.recorder, decision.primary);
-            self.recorder.observe_request_in(slot, latency_ms, success);
+            let slot = slot_of(slots, recorder, decision.primary);
+            recorder.observe_request_in(slot, latency_ms, success);
             if outcome != ServeOutcome::Served {
-                self.recorder.observe_shed_in(slot);
+                recorder.observe_shed_in(slot);
             }
             for shadow in &decision.shadows {
                 self.stats.shadow_copies += 1;
@@ -557,8 +594,8 @@ impl TrafficStream {
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
                 let shadow_model = self.profile.backend_of(shadow.target);
-                let slot = slot_of(&mut self.slots, &mut self.recorder, shadow.target);
-                self.recorder.observe_shadow_in(slot);
+                let slot = slot_of(slots, recorder, shadow.target);
+                recorder.observe_shadow_in(slot);
                 if let BackendModel::Queued(queued) = shadow_model {
                     let demand = queued
                         .service_time
@@ -566,7 +603,7 @@ impl TrafficStream {
                     let server = servers.ensure(shadow.target, &queued);
                     if server.dispatch(receipt.completed, demand) == BackendDispatch::Shed {
                         self.stats.shadow_shed += 1;
-                        self.recorder.observe_shed_in(slot);
+                        recorder.observe_shed_in(slot);
                     }
                 }
             }
@@ -578,8 +615,8 @@ impl TrafficStream {
         // service, the first stream's tick consumes the window.)
         for (version, server) in servers.iter_mut() {
             let percent = server.sample_utilization(at);
-            let slot = slot_of(&mut self.slots, &mut self.recorder, version);
-            self.recorder.observe_utilization_in(slot, percent);
+            let slot = slot_of(slots, recorder, version);
+            recorder.observe_utilization_in(slot, percent);
             let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
             if percent > *peak {
                 *peak = percent;
@@ -589,7 +626,7 @@ impl TrafficStream {
         // the traffic CPUs, and without the drain the interval list grows
         // by one entry per routed request.
         let _ = cpu.sample_utilization(at);
-        self.recorder.flush(at.to_timestamp());
+        recorder.flush(at.to_timestamp());
     }
 }
 

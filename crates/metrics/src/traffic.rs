@@ -193,20 +193,35 @@ impl TrafficSeriesRecorder {
 
     /// Pre-registers versions' counter series at zero (the behaviour of a
     /// Prometheus client library on service start-up), so checks see `0`
-    /// rather than "no data" before the first request arrives. All labels
-    /// are registered in one pass and published with a single flush.
+    /// rather than "no data" before the first request arrives. Only
+    /// counters with no total yet are published, all under one store lock:
+    /// registering a version again, or after it has counted, republishes
+    /// nothing, so no counter series gets a sample older than its last.
     pub fn register_versions<'a>(
         &mut self,
         version_labels: impl IntoIterator<Item = &'a str>,
         at: TimestampMs,
     ) {
-        for label in version_labels {
-            let slot = self.slot(label);
-            for total in &mut self.versions[slot.0].totals {
-                total.get_or_insert(0.0);
+        let slots: Vec<VersionSlot> = version_labels
+            .into_iter()
+            .map(|label| self.slot(label))
+            .collect();
+        let Self {
+            store,
+            service_label,
+            versions,
+        } = self;
+        store.with_store_mut(|store| {
+            for slot in slots {
+                let version = &mut versions[slot.0];
+                for series in 0..version.totals.len() {
+                    if version.totals[series].is_none() {
+                        version.totals[series] = Some(0.0);
+                        version.publish(store, service_label, series, Sample::new(at, 0.0));
+                    }
+                }
             }
-        }
-        self.flush(at);
+        });
     }
 
     /// Buffers the outcome of one request routed to `slot`'s version.
@@ -281,6 +296,11 @@ impl TrafficSeriesRecorder {
     /// The underlying store handle.
     pub fn store(&self) -> &SharedMetricStore {
         &self.store
+    }
+
+    /// The `service` label value every series is published under.
+    pub fn service_label(&self) -> &str {
+        &self.service_label
     }
 }
 
@@ -409,6 +429,33 @@ mod tests {
                 "{len}"
             );
         }
+    }
+
+    #[test]
+    fn registering_again_publishes_only_new_counters() {
+        let store = SharedMetricStore::new();
+        let mut recorder = TrafficSeriesRecorder::new(store.clone(), "search");
+        recorder.register_versions(["v1"], TimestampMs::from_secs(0));
+        recorder.observe_request("v1", 5.0, true);
+        recorder.flush(TimestampMs::from_secs(4));
+        recorder.register_versions(["v1", "v2"], TimestampMs::from_secs(0));
+        let samples = |metric: &str, version: &str| {
+            let key = SeriesKey::new(metric)
+                .with_label("service", "search")
+                .with_label("version", version);
+            store.snapshot().series(&key).map(|s| s.samples().to_vec())
+        };
+        let v1 = samples(REQUESTS_TOTAL, "v1").unwrap();
+        let timestamps: Vec<u64> = v1.iter().map(|s| s.timestamp.as_millis()).collect();
+        assert_eq!(timestamps, [0, 4_000]);
+        assert_eq!(v1[1].value, 1.0);
+        for metric in &SERIES[..4] {
+            let v2 = samples(metric, "v2").unwrap();
+            assert_eq!(v2.len(), 1, "{metric}");
+            assert_eq!((v2[0].timestamp.as_millis(), v2[0].value), (0, 0.0));
+        }
+        assert_eq!(samples(REQUEST_LATENCY_MS, "v2"), None);
+        assert_eq!(recorder.service_label(), "search");
     }
 
     #[test]
