@@ -33,7 +33,13 @@ pub fn compile(document: &StrategyDocument) -> Result<Strategy, DslError> {
 
     for service_doc in &document.deployment.services {
         let id = catalog.add_service(Service::new(&service_doc.name));
-        service_ids.insert(service_doc.name.clone(), id);
+        if service_ids.insert(service_doc.name.clone(), id).is_some() {
+            return Err(DslError::invalid(
+                "deployment",
+                "services",
+                format!("declares the service '{}' twice", service_doc.name),
+            ));
+        }
         for version_doc in &service_doc.versions {
             let mut version = ServiceVersion::new(
                 &version_doc.name,
@@ -419,6 +425,25 @@ strategy:
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_service_declared_twice_is_rejected() {
+        let twice = RUNNING_EXAMPLE.replacen(
+            "strategy:\n",
+            "    - service: search\n      versions:\n        - name: search-v2\n          host: 10.0.0.3\n          port: 8080\nstrategy:\n",
+            1,
+        );
+        let err = parse_strategy(&twice).unwrap_err();
+        assert!(
+            matches!(&err, DslError::InvalidField { context, field, .. }
+                if context == "deployment" && field == "services"),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("the service 'search' twice"),
+            "{err}"
+        );
     }
 
     #[test]
