@@ -131,7 +131,16 @@ pub struct BifrostEngine {
     /// it the moment the last strategy finishes.
     pending_traffic_ticks: usize,
     utilization_trace: Vec<(SimTime, f64)>,
-    utilization_sampling_started: bool,
+    sampler: Sampler,
+}
+
+/// Where the utilisation sampler stands: not yet queued by a first run,
+/// queued, or stopped on an idle engine until work is added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sampler {
+    Unstarted,
+    Queued,
+    Stopped,
 }
 
 impl BifrostEngine {
@@ -150,7 +159,7 @@ impl BifrostEngine {
             unfinished: 0,
             pending_traffic_ticks: 0,
             utilization_trace: Vec::new(),
-            utilization_sampling_started: false,
+            sampler: Sampler::Unstarted,
         }
     }
 
@@ -228,6 +237,7 @@ impl BifrostEngine {
                     },
                 )
             }));
+        self.queue_sampler(Sampler::Stopped);
         TrafficHandle(index)
     }
 
@@ -257,6 +267,7 @@ impl BifrostEngine {
         });
         self.queue
             .schedule_at(start_at, EngineAction::StartStrategy { strategy: id });
+        self.queue_sampler(Sampler::Stopped);
         StrategyHandle(id)
     }
 
@@ -315,13 +326,18 @@ impl BifrostEngine {
         self.unfinished == 0
     }
 
-    fn start_utilization_sampling(&mut self) {
-        if !self.utilization_sampling_started {
-            self.utilization_sampling_started = true;
-            self.queue.schedule_at(
-                SimTime::ZERO + UTILIZATION_SAMPLE_INTERVAL,
-                EngineAction::SampleUtilization,
-            );
+    /// Queues the sampler at the first whole interval after `now` if it
+    /// stands at `from`: a run starts it once, and scheduling a strategy
+    /// or attaching traffic restarts it after it stopped on an idle engine
+    /// (restarting at every run start would add a sample to every idle
+    /// `run_until`).
+    fn queue_sampler(&mut self, from: Sampler) {
+        if self.sampler == from {
+            self.sampler = Sampler::Queued;
+            let interval = UTILIZATION_SAMPLE_INTERVAL.as_micros() as u64;
+            let next = (self.now().as_micros() / interval + 1) * interval;
+            self.queue
+                .schedule_at(SimTime::from_micros(next), EngineAction::SampleUtilization);
         }
     }
 
@@ -350,7 +366,7 @@ impl BifrostEngine {
     /// strategy state, and every control event still sees every tick
     /// queued before it. A tick counts as consumed when it is popped.
     fn run_events(&mut self, deadline: SimTime, until_done: bool) -> u64 {
-        self.start_utilization_sampling();
+        self.queue_sampler(Sampler::Unstarted);
         let mut processed = 0;
         let mut run: Vec<Tick> = Vec::new();
         while !until_done || self.unfinished > 0 || self.pending_traffic_ticks > 0 {
@@ -378,10 +394,10 @@ impl BifrostEngine {
                 self.utilization_trace.push((at, utilization));
                 // The next sample stays queued past this call's deadline, so
                 // a run stepped by many `run_until` calls keeps sampling.
-                if !(self.unfinished == 0
-                    && self.pending_traffic_ticks == 0
-                    && self.queue.is_empty())
+                if self.unfinished == 0 && self.pending_traffic_ticks == 0 && self.queue.is_empty()
                 {
+                    self.sampler = Sampler::Stopped;
+                } else {
                     self.queue.schedule_at(
                         at + UTILIZATION_SAMPLE_INTERVAL,
                         EngineAction::SampleUtilization,
@@ -1064,6 +1080,38 @@ mod tests {
         assert_eq!(single.len(), 30);
         assert!(single.iter().any(|&(_, u)| u > 0.0));
         assert_eq!(trace(30), single);
+    }
+
+    #[test]
+    fn sampling_resumes_for_work_scheduled_on_an_idle_engine() {
+        let mut f = fixture();
+        feed_low_errors(&f.store, 300);
+        // Idle to 5 s: the 1 s sample finds nothing queued and stops.
+        f.engine.run_until(SimTime::from_secs(5));
+        let strategy = StrategyBuilder::new("canary", f.catalog.clone())
+            .phase(
+                PhaseSpec::canary(
+                    "canary-5",
+                    f.search,
+                    f.stable,
+                    f.fast,
+                    Percentage::new(5.0).unwrap(),
+                )
+                .check(error_check(2, 15))
+                .duration_secs(30),
+            )
+            .build()
+            .unwrap();
+        f.engine.schedule(strategy, SimTime::from_secs(10));
+        f.engine.run_until(SimTime::from_secs(60));
+        let seconds: Vec<u64> = f
+            .engine
+            .utilization_trace()
+            .iter()
+            .map(|(at, _)| at.as_micros() / 1_000_000)
+            .collect();
+        let expected: Vec<u64> = [1].into_iter().chain(6..=41).collect();
+        assert_eq!(seconds, expected);
     }
 
     #[test]
