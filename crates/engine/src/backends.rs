@@ -14,11 +14,13 @@
 //! * a [`VersionBackend`] is the running instance: one single-core
 //!   [`CpuResource`] per replica, dispatched least-backlogged-first, with
 //!   arrivals beyond the queue bound shed immediately;
-//! * a [`BackendFleet`] keys running servers by `(ServiceId, VersionId)`.
-//!   The engine itself keeps one server map per service in its data plane,
-//!   so every traffic stream of a service charges the same replicas —
-//!   which is exactly what lets a 20% dark launch measurably heat the
-//!   shadow version.
+//! * a [`BackendFleet`] keys running servers by `(ServiceId, VersionId)`,
+//!   for harnesses that dispatch outside an engine. The engine keeps each
+//!   server in its service's version table in the data plane (see
+//!   [`crate::traffic`]), so every traffic stream of a service charges the
+//!   same replicas — which is exactly what lets a 20% dark launch
+//!   measurably heat the shadow version — and the service samples each
+//!   server once per tick instant.
 //!
 //! Latency becomes load-dependent through [`WorkReceipt::queueing_delay`]:
 //! below saturation a request starts almost immediately and its latency is
@@ -150,10 +152,6 @@ pub struct VersionBackend {
     shed: u64,
     /// Requests admitted (work charged to a replica).
     admitted: u64,
-    /// Time and value of the last utilisation sample, so repeated samples
-    /// at the same instant (several streams ticking one service) return
-    /// the measured value instead of a bogus 0% over an empty window.
-    last_sample: (SimTime, f64),
 }
 
 impl VersionBackend {
@@ -165,7 +163,6 @@ impl VersionBackend {
             replicas,
             shed: 0,
             admitted: 0,
-            last_sample: (SimTime::ZERO, 0.0),
         }
     }
 
@@ -214,35 +211,20 @@ impl VersionBackend {
 
     /// Utilisation in percent of the version's total replica capacity since
     /// the previous sample (see [`CpuResource::sample_utilization`]). The
-    /// traffic stream samples once per tick, which also keeps the replicas'
-    /// pending execution-interval lists drained. Repeated samples at (or
-    /// before) the last sample time return the last measured value: when
-    /// several streams of one service tick at the same boundary, the
-    /// second sampler must not read 0% off an already-drained window.
+    /// service samples once per tick instant, which also keeps the
+    /// replicas' pending execution-interval lists drained.
     pub fn sample_utilization(&mut self, now: SimTime) -> f64 {
-        if self.replicas.is_empty() {
-            return 0.0;
-        }
-        let (last_at, last_value) = self.last_sample;
-        if now <= last_at {
-            return last_value;
-        }
         let sum: f64 = self
             .replicas
             .iter_mut()
             .map(|r| r.cpu.sample_utilization(now))
             .sum();
-        let value = sum / self.replicas.len() as f64;
-        self.last_sample = (now, value);
-        value
+        sum / self.replicas.len() as f64
     }
 
     /// Average utilisation of the version's replicas from time zero to
     /// `now` (independent of the sampling windows).
     pub fn average_utilization(&self, now: SimTime) -> f64 {
-        if self.replicas.is_empty() {
-            return 0.0;
-        }
         let sum: f64 = self
             .replicas
             .iter()
@@ -262,46 +244,11 @@ impl fmt::Debug for VersionBackend {
     }
 }
 
-/// The running servers of one service, keyed by version. The data plane
-/// keeps one per service, next to that service's streams and proxy-VM CPU
-/// (see [`crate::traffic`]).
-#[derive(Debug, Default)]
-pub(crate) struct ServiceBackends {
-    servers: BTreeMap<VersionId, VersionBackend>,
-}
-
-impl ServiceBackends {
-    /// Returns the running server of `version`, booting it from `spec` on
-    /// first sight (later calls keep the existing server and its
-    /// accumulated load — the first registration wins).
-    pub(crate) fn ensure(
-        &mut self,
-        version: VersionId,
-        spec: &QueuedBackend,
-    ) -> &mut VersionBackend {
-        self.servers
-            .entry(version)
-            .or_insert_with(|| VersionBackend::new(*spec))
-    }
-
-    /// The running server of `version`, if any.
-    pub(crate) fn server(&self, version: VersionId) -> Option<&VersionBackend> {
-        self.servers.get(&version)
-    }
-
-    /// Iterates mutably over the running servers in version order.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (VersionId, &mut VersionBackend)> {
-        self.servers
-            .iter_mut()
-            .map(|(version, server)| (*version, server))
-    }
-}
-
 /// Running backend servers of several services, one [`VersionBackend`] per
 /// `(service, version)`, for harnesses that dispatch outside an engine.
 #[derive(Debug, Default)]
 pub struct BackendFleet {
-    services: BTreeMap<ServiceId, ServiceBackends>,
+    servers: BTreeMap<(ServiceId, VersionId), VersionBackend>,
 }
 
 impl BackendFleet {
@@ -319,21 +266,20 @@ impl BackendFleet {
         version: VersionId,
         spec: &QueuedBackend,
     ) -> &mut VersionBackend {
-        self.services
-            .entry(service)
-            .or_default()
-            .ensure(version, spec)
+        self.servers
+            .entry((service, version))
+            .or_insert_with(|| VersionBackend::new(*spec))
     }
 
-    /// Iterates mutably over the running servers of one service.
+    /// Iterates mutably over the running servers of one service, in
+    /// version order.
     pub fn servers_of_mut(
         &mut self,
         service: ServiceId,
     ) -> impl Iterator<Item = (VersionId, &mut VersionBackend)> {
-        self.services
-            .get_mut(&service)
-            .into_iter()
-            .flat_map(ServiceBackends::iter_mut)
+        self.servers
+            .range_mut((service, VersionId::new(0))..=(service, VersionId::new(u64::MAX)))
+            .map(|(&(_, version), server)| (version, server))
     }
 }
 
@@ -435,22 +381,6 @@ mod tests {
             BackendDispatch::Shed
         );
         assert_eq!(server.shed(), 1);
-    }
-
-    #[test]
-    fn repeated_samples_at_one_instant_return_the_measured_value() {
-        let mut server = VersionBackend::new(spec(10));
-        server.dispatch(SimTime::ZERO, Duration::from_millis(10));
-        let first = server.sample_utilization(SimTime::from_millis(20));
-        assert!((first - 50.0).abs() < 1e-9, "{first}");
-        // A second stream sampling the shared server at the same tick
-        // boundary must see the same measurement, not 0% of an empty
-        // window.
-        let again = server.sample_utilization(SimTime::from_millis(20));
-        assert_eq!(again, first);
-        // A genuinely later window measures afresh.
-        let later = server.sample_utilization(SimTime::from_millis(40));
-        assert_eq!(later, 0.0);
     }
 
     #[test]

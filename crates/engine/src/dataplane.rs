@@ -5,8 +5,8 @@
 //! hands it to [`DataPlane::step`] before it handles the next control
 //! event (see [`crate::traffic`] for why that preserves the serial
 //! semantics). The service is the only partition. Each service owns its
-//! streams, its proxy-VM CPU, its backend servers and the recorder of its
-//! one `service` label, and a label names one service. A service's ticks
+//! streams, its proxy-VM CPU, its version table and the recorder of its one
+//! `service` label, and a label names one service. A service's ticks
 //! touch only what it owns and its own proxy, and they write only its own
 //! metric series, so services replay on separate workers, each in queue
 //! order, and the outcome does not depend on the worker count.
@@ -58,7 +58,7 @@ struct ServicePlane {
 impl DataPlane {
     /// Adds a stream and returns its index. The first stream of a service
     /// sizes the service's proxy-VM CPU and names its `service` label; a
-    /// later stream registers only the versions the service has no slot
+    /// later stream registers only the versions the service has no entry
     /// for yet. Panics on a label that breaks the rule of one label per
     /// service (see [`crate::BifrostEngine::attach_traffic`]).
     pub(crate) fn attach(&mut self, stream: TrafficStream, store: SharedMetricStore) -> usize {
@@ -178,13 +178,21 @@ impl DataPlane {
 }
 
 impl ServicePlane {
-    /// Replays and clears the service's ticks, in queue order. A service
-    /// with no registered proxy skips them (like rules for unregistered
-    /// services).
+    /// Replays and clears the service's ticks, in queue order, closing each
+    /// instant after its last tick. A service with no registered proxy
+    /// skips them (like rules for unregistered services).
     fn replay(&mut self, proxies: &ProxyFleet) {
         if let Some(proxy) = proxies.handle(self.service) {
-            for &(place, batch, at) in &self.ticks {
-                self.streams[place].route_batch(batch, &proxy, &mut self.state, at);
+            // A run is in time order: the ticks of an instant are adjacent.
+            for instant in self.ticks.chunk_by(|a, b| a.2 == b.2) {
+                for &(place, batch, _) in instant {
+                    self.streams[place].route_batch(batch, &proxy, &mut self.state);
+                }
+                self.state.close_tick(instant[0].2, |version, percent| {
+                    for &(place, ..) in instant {
+                        self.streams[place].note_utilization(version, percent);
+                    }
+                });
             }
         }
         self.ticks.clear();

@@ -14,11 +14,12 @@ use crate::traffic::{BackendProfile, TrafficHandle, TrafficProfile, TrafficStats
 use bifrost_core::check::QueryAggregation;
 use bifrost_core::phase::PhaseCheck;
 use bifrost_core::prelude::*;
-use bifrost_metrics::traffic::REQUESTS_TOTAL;
+use bifrost_metrics::traffic::{REQUESTS_TOTAL, REQUEST_LATENCY_P95_MS};
 use bifrost_metrics::{MetricStore, SharedMetricStore};
 use bifrost_proxy::ProxyStats;
 use bifrost_simnet::SimTime;
 use bifrost_workload::{LoadProfile, RequestMix};
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Services in the scenario. Service `i` records under the label `s{i}`.
@@ -392,9 +393,11 @@ fn serial_outcomes_are_pinned() {
     // include one utilisation sample per virtual second, also when the
     // engine is stepped by `run_until`. Since service 0's two streams
     // record under the label its checks query, those checks pass and its
-    // strategy runs its dark phase instead of rolling back.
+    // strategy runs its dark phase instead of rolling back. Since a
+    // service closes each tick instant once, service 0's two streams
+    // flush one sample per series and instant.
     let traffic = [37_901, 1_011, 6_197_488_157_075_887_905];
-    let log_and_store = [148, 25_205, 1_356_860_636_643_948_748];
+    let log_and_store = [148, 21_689, 14_349_227_027_838_897_156];
     let pin = |processed, now| {
         let [requests, failed, latency_bits] = traffic;
         let [events, samples, sample_bits] = log_and_store;
@@ -521,8 +524,11 @@ fn ticks_skipped_before_a_late_proxy_leave_later_ticks_unchanged() {
 }
 
 /// One service `search` with versions `v1` and `v2`, its proxy registered
-/// and a 30% canary running from 0 s to 20 s.
-fn search_engine(seed: u64) -> (BifrostEngine, SharedMetricStore, ServiceId, [VersionId; 2]) {
+/// and a 20 s 30% canary scheduled at `start`.
+fn search_engine(
+    seed: u64,
+    start: SimTime,
+) -> (BifrostEngine, SharedMetricStore, ServiceId, [VersionId; 2]) {
     let mut catalog = ServiceCatalog::new();
     let service = catalog.add_service(Service::new("search"));
     let mut version = |name: &str, host: &str| {
@@ -547,7 +553,7 @@ fn search_engine(seed: u64) -> (BifrostEngine, SharedMetricStore, ServiceId, [Ve
         .phase(canary)
         .build()
         .unwrap();
-    engine.schedule(strategy, SimTime::ZERO);
+    engine.schedule(strategy, start);
     (engine, store, service, versions)
 }
 
@@ -600,7 +606,7 @@ fn assert_one_running_total(
 
 #[test]
 fn two_streams_of_one_service_add_to_one_running_total() {
-    let (mut engine, store, service, versions) = search_engine(31);
+    let (mut engine, store, service, versions) = search_engine(31, SimTime::ZERO);
     let handles = [150.0, 90.0].map(|rps| {
         engine.attach_traffic(
             default_label_profile(service, &versions, rps),
@@ -615,7 +621,7 @@ fn two_streams_of_one_service_add_to_one_running_total() {
 
 #[test]
 fn a_later_stream_registers_only_its_new_versions() {
-    let (mut engine, store, service, versions) = search_engine(32);
+    let (mut engine, store, service, versions) = search_engine(32, SimTime::ZERO);
     let first = engine.attach_traffic(
         default_label_profile(service, &versions, 150.0),
         store.clone(),
@@ -661,4 +667,97 @@ fn a_service_records_under_one_label() {
         TrafficProfile::new(service, load(10.0)).with_service_label("other"),
         store,
     );
+}
+
+#[test]
+fn a_service_closes_each_tick_instant_once() {
+    // The canary starts at 1 s, scheduled after the first stream's ticks
+    // and before the second's, so its start splits the streams' ticks at
+    // 1 s into two runs.
+    let split = SimTime::from_secs(1);
+    let (mut engine, store, service, versions) = search_engine(33, split);
+    let handles = [150.0, 90.0].map(|rps| {
+        engine.attach_traffic(
+            default_label_profile(service, &versions, rps),
+            store.clone(),
+        )
+    });
+    let instants: BTreeSet<SimTime> = streams(&mut engine)
+        .iter()
+        .flat_map(|stream| stream.batch_times())
+        .collect();
+    assert!(streams(&mut engine)
+        .iter()
+        .all(|stream| stream.batch_times().contains(&split)));
+    engine.run_to_completion(SimTime::from_secs(3_600));
+    let stats = handles.map(|handle| engine.traffic_stats(handle).unwrap().clone());
+    assert_one_running_total(&store, &stats, &versions);
+
+    let store = store.snapshot();
+    for key in store.keys() {
+        let samples = store.series(key).unwrap().samples();
+        let twice = samples
+            .windows(2)
+            .find(|w| w[0].timestamp >= w[1].timestamp);
+        assert_eq!(twice, None, "{key:?} holds two samples at one timestamp");
+    }
+    let samples = |name: &str, version: &str| -> Vec<_> {
+        let key = store
+            .keys()
+            .find(|key| key.name() == name && key.label("version") == Some(version))
+            .unwrap();
+        let samples = store.series(key).unwrap().samples().iter();
+        samples
+            .map(|sample| (sample.timestamp, sample.value))
+            .collect()
+    };
+    let flushed: Vec<_> = instants.iter().map(|at| at.to_timestamp()).collect();
+    for version in ["v1", "v2"] {
+        // One flush per instant, after the counters' registration at 0.
+        let totals = samples(REQUESTS_TOTAL, version);
+        let stamps: Vec<_> = totals[1..].iter().map(|&(at, _)| at).collect();
+        assert_eq!(stamps, flushed, "{version}");
+        // One p95 sample per instant with requests of the version.
+        let with_requests: Vec<_> = totals
+            .windows(2)
+            .filter(|pair| pair[1].1 > pair[0].1)
+            .map(|pair| pair[1].0)
+            .collect();
+        let p95: Vec<_> = samples(REQUEST_LATENCY_P95_MS, version);
+        let p95: Vec<_> = p95.into_iter().map(|(at, _)| at).collect();
+        assert_eq!(p95, with_requests, "{version}");
+    }
+}
+
+#[test]
+fn the_first_profile_that_names_a_version_sets_its_label_and_model() {
+    let (mut engine, store, service, versions) = search_engine(34, SimTime::ZERO);
+    let first = engine.attach_traffic(
+        default_label_profile(service, &versions, 150.0),
+        store.clone(),
+    );
+    // A later stream names v2 again, under another label and as a version
+    // that always fails.
+    let later = TrafficProfile::new(service, load(90.0))
+        .with_tick(TICK)
+        .with_backend(
+            versions[1],
+            "canary",
+            BackendProfile::defective(Duration::from_millis(10), 1.0),
+        );
+    let later = engine.attach_traffic(later, store.clone());
+    engine.run_to_completion(SimTime::from_secs(3_600));
+    let stats = [first, later].map(|handle| engine.traffic_stats(handle).unwrap().clone());
+    // v2 serves the later stream with the first profile's healthy model.
+    assert!(stats[1]
+        .per_version
+        .get(&versions[1])
+        .is_some_and(|&n| n > 0));
+    assert_eq!(stats[1].errors, 0);
+    // And records under the first profile's label.
+    assert_one_running_total(&store, &stats, &versions);
+    let store = store.snapshot();
+    assert!(store
+        .keys()
+        .all(|key| key.label("version") != Some("canary")));
 }

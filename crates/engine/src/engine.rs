@@ -207,11 +207,14 @@ impl BifrostEngine {
     /// Streams targeting the same service share that service's proxy-VM
     /// CPU (the first attached profile sizes it) and backend servers, so
     /// concurrent streams contend realistically. They also share one
-    /// recorder, so each counter series stays one running total. The first
-    /// stream of a service records into `store`; a later stream's `store`
-    /// is not used, and it registers only the versions the service has not
-    /// recorded yet. A service records under one `service` label, and a
-    /// label names one service.
+    /// recorder, so each counter series stays one running total, and the
+    /// service flushes it once per tick instant. The first stream of a
+    /// service records into `store`; a later stream's `store` is not used.
+    /// A service records under one `service` label, and a label names one
+    /// service. The first profile that names a version sets its `version`
+    /// label and backend model (queued spec included) for every stream; a
+    /// version routed to before any profile named it keeps its id rendering
+    /// and the default model.
     ///
     /// # Panics
     ///

@@ -4,7 +4,8 @@
 //! owns the fleet and pushes configurations on state transitions; the
 //! simulated application holds clones of the same handles so its request
 //! routing immediately reflects configuration changes (exactly like the real
-//! proxies picking up engine updates over HTTP).
+//! proxies picking up engine updates over HTTP). The fleet keeps only the
+//! handles: a proxy's default version and revision live in its config.
 
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::routing::RoutingRule;
@@ -20,8 +21,6 @@ pub type ProxyHandle = Arc<RwLock<BifrostProxy>>;
 /// The set of proxies managed by one engine.
 pub struct ProxyFleet {
     proxies: BTreeMap<ServiceId, ProxyHandle>,
-    defaults: BTreeMap<ServiceId, VersionId>,
-    revisions: BTreeMap<ServiceId, u64>,
     /// Session-store shards configured into every registered proxy.
     session_shards: usize,
 }
@@ -30,8 +29,6 @@ impl Default for ProxyFleet {
     fn default() -> Self {
         Self {
             proxies: BTreeMap::new(),
-            defaults: BTreeMap::new(),
-            revisions: BTreeMap::new(),
             session_shards: DEFAULT_SESSION_SHARDS,
         }
     }
@@ -67,8 +64,6 @@ impl ProxyFleet {
                 .with_session_shards(self.session_shards),
         ));
         self.proxies.insert(service, proxy.clone());
-        self.defaults.insert(service, default_version);
-        self.revisions.insert(service, 0);
         proxy
     }
 
@@ -93,9 +88,10 @@ impl ProxyFleet {
     }
 
     /// Translates a state's routing rules into per-service proxy
-    /// configurations and applies them. Returns the `(service, revision)`
-    /// pairs that were updated. Services without a registered proxy are
-    /// skipped (the paper's auth service has no proxy either).
+    /// configurations and applies them, each at the revision after the
+    /// proxy's own. Returns the `(service, revision)` pairs that were
+    /// updated. Services without a registered proxy are skipped (the
+    /// paper's auth service has no proxy either).
     pub fn apply_rules(&mut self, rules: &[RoutingRule]) -> Vec<(ServiceId, u64)> {
         // Group rules by service: one config per service carrying all rules.
         let mut grouped: BTreeMap<ServiceId, Vec<&RoutingRule>> = BTreeMap::new();
@@ -104,19 +100,19 @@ impl ProxyFleet {
         }
         let mut updated = Vec::new();
         for (service, service_rules) in grouped {
-            let (Some(handle), Some(default)) =
-                (self.proxies.get(&service), self.defaults.get(&service))
-            else {
+            let Some(handle) = self.proxies.get(&service) else {
                 continue;
             };
-            let revision = self.revisions.entry(service).or_insert(0);
-            *revision += 1;
-            let mut config = ProxyConfig::new(service, *default).with_revision(*revision);
+            let mut proxy = handle.write();
+            let current = proxy.config();
+            let revision = current.revision() + 1;
+            let mut config =
+                ProxyConfig::new(service, current.default_version()).with_revision(revision);
             for rule in service_rules {
                 config = config.with_rule(translate_rule(rule));
             }
-            handle.write().apply_config(config);
-            updated.push((service, *revision));
+            proxy.apply_config(config);
+            updated.push((service, revision));
         }
         updated
     }
@@ -190,6 +186,23 @@ mod tests {
         // A second application bumps the revision again.
         let updated = fleet.apply_rules(&rules);
         assert_eq!(updated, vec![(service, 2)]);
+    }
+
+    #[test]
+    fn apply_rules_continues_from_the_proxys_own_revision() {
+        let (service, stable, canary) = ids();
+        let mut fleet = ProxyFleet::new();
+        let handle = fleet.register(service, stable);
+        handle
+            .write()
+            .apply_config(ProxyConfig::new(service, stable).with_revision(5));
+        let rules = [RoutingRule::Shadow {
+            service,
+            route: DarkLaunchRoute::new(stable, canary, Percentage::full()),
+        }];
+        assert_eq!(fleet.apply_rules(&rules), vec![(service, 6)]);
+        assert_eq!(handle.read().config().revision(), 6);
+        assert_eq!(handle.read().config().default_version(), stable);
     }
 
     #[test]

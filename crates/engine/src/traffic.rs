@@ -20,10 +20,9 @@
 //! one pass ([`bifrost_proxy::BifrostProxy::route_many_costed`], the
 //! compiled-config hot path), charges every request's routing cost to the
 //! proxy's own CPU, models the serving version's backend latency and error
-//! rate, and records the observed outcomes into the shared metric store via
-//! its service's [`bifrost_metrics::TrafficSeriesRecorder`] — so checks
-//! evaluate traffic the proxies actually routed instead of hand-injected
-//! samples.
+//! rate, and buffers the observed outcomes in its service's
+//! [`bifrost_metrics::TrafficSeriesRecorder`] — so checks evaluate traffic
+//! the proxies actually routed instead of hand-injected samples.
 //!
 //! Ticks are the engine's data plane. The engine collects consecutive
 //! `TrafficTick` events into a run and replays it before it handles the
@@ -32,12 +31,13 @@
 //! events and touches no engine CPU, event log or strategy state, and each
 //! control event still sees every tick queued before it, so this equals
 //! handling each event as it is popped. A run is split by service. Each
-//! service owns its streams, its proxy-VM CPU, its backend servers and one
-//! recorder, and replays its ticks in queue order, on one of
+//! service owns its streams, its proxy-VM CPU, one recorder and one entry
+//! per version, and replays its ticks in queue order, on one of
 //! `min(available_parallelism(), services the run touches, ⌈arrivals /
 //! 1024⌉)` threads. The engine's own thread is one of them, so a run that
 //! touches one service, a run of at most 1024 arrivals, or a host with one
-//! CPU spawns no thread.
+//! CPU spawns no thread. A service closes each tick instant once, after its
+//! last tick there, so each of its series gets one sample per instant.
 //!
 //! A service records under one `service` label, and a label names one
 //! service, so services write disjoint series of the metric store, and the
@@ -60,7 +60,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::backends::{BackendDispatch, QueuedBackend, ServiceBackends, VersionBackend};
+use crate::backends::{BackendDispatch, QueuedBackend, VersionBackend};
 use crate::proxies::ProxyHandle;
 
 /// The backend behaviour of one service version under traffic: how long the
@@ -141,8 +141,9 @@ pub struct TrafficProfile {
     tick: Duration,
     cores: usize,
     service_label: String,
-    backends: BTreeMap<VersionId, BackendModel>,
-    version_labels: BTreeMap<VersionId, String>,
+    /// The versions the profile names: each one's `version` label and
+    /// backend model.
+    versions: BTreeMap<VersionId, (String, BackendModel)>,
 }
 
 impl TrafficProfile {
@@ -155,8 +156,7 @@ impl TrafficProfile {
             tick: Duration::from_secs(1),
             cores: 1,
             service_label: format!("{service}"),
-            backends: BTreeMap::new(),
-            version_labels: BTreeMap::new(),
+            versions: BTreeMap::new(),
         }
     }
 
@@ -190,9 +190,8 @@ impl TrafficProfile {
         label: impl Into<String>,
         backend: BackendProfile,
     ) -> Self {
-        self.backends
-            .insert(version, BackendModel::Profile(backend));
-        self.version_labels.insert(version, label.into());
+        self.versions
+            .insert(version, (label.into(), BackendModel::Profile(backend)));
         self
     }
 
@@ -205,8 +204,8 @@ impl TrafficProfile {
         label: impl Into<String>,
         backend: QueuedBackend,
     ) -> Self {
-        self.backends.insert(version, BackendModel::Queued(backend));
-        self.version_labels.insert(version, label.into());
+        self.versions
+            .insert(version, (label.into(), BackendModel::Queued(backend)));
         self
     }
 
@@ -233,10 +232,9 @@ impl TrafficProfile {
     /// The backend model of `version`: the default unlimited-capacity
     /// [`BackendProfile`] when the profile did not name it explicitly.
     pub fn backend_of(&self, version: VersionId) -> BackendModel {
-        self.backends
+        self.versions
             .get(&version)
-            .copied()
-            .unwrap_or(BackendModel::Profile(BackendProfile::default()))
+            .map_or(BackendModel::Profile(BackendProfile::default()), |v| v.1)
     }
 }
 
@@ -347,17 +345,24 @@ impl fmt::Display for TrafficHandle {
 
 /// What every stream of one service shares: the proxy VM's CPU, so
 /// concurrent streams through the same proxy contend for the same cores;
-/// the versions' backend servers, so they charge the same replicas; and the
+/// one entry per version, so they charge the same replicas; and the
 /// recorder, so each counter series is one running total.
 #[derive(Debug)]
 pub(crate) struct ServiceState {
     cpu: CpuResource,
-    servers: ServiceBackends,
     recorder: TrafficSeriesRecorder,
-    /// Version → the recorder's slot for its label, so recording a request
-    /// indexes the recorder's slots. Versions no profile named are added on
-    /// first sight under their id rendering.
-    slots: BTreeMap<VersionId, VersionSlot>,
+    versions: BTreeMap<VersionId, VersionState>,
+    /// The last instant closed: an instant closes at most once.
+    closed: Option<SimTime>,
+}
+
+/// One version of a service: its recorder slot, how it serves, and its
+/// queued server, booted on the version's first queued dispatch.
+#[derive(Debug)]
+struct VersionState {
+    slot: VersionSlot,
+    model: BackendModel,
+    server: Option<VersionBackend>,
 }
 
 impl ServiceState {
@@ -366,29 +371,48 @@ impl ServiceState {
     pub(crate) fn new(profile: &TrafficProfile, store: SharedMetricStore) -> Self {
         let mut state = Self {
             cpu: CpuResource::new(profile.cores),
-            servers: ServiceBackends::default(),
             recorder: TrafficSeriesRecorder::new(store, profile.service_label.clone()),
-            slots: BTreeMap::new(),
+            versions: BTreeMap::new(),
+            closed: None,
         };
         state.register(profile);
         state
     }
 
-    /// Registers the versions `profile` names that have no slot yet, with
-    /// their counters at zero. Versions the service already records keep
-    /// their slot, and no total is republished.
+    /// Registers the versions `profile` names that the service has no
+    /// entry for yet, with their counters at zero: the first profile that
+    /// names a version sets its label and backend model. Versions the
+    /// service already has keep their entry, and no total is republished.
     pub(crate) fn register(&mut self, profile: &TrafficProfile) {
         let new: Vec<_> = profile
-            .version_labels
+            .versions
             .iter()
-            .filter(|(version, _)| !self.slots.contains_key(version))
+            .filter(|(version, _)| !self.versions.contains_key(version))
             .collect();
-        let labels = new.iter().map(|(_, label)| label.as_str());
+        let labels = new.iter().map(|(_, (label, _))| label.as_str());
         self.recorder
             .register_versions(labels, SimTime::ZERO.to_timestamp());
-        for (&version, label) in new {
-            self.slots.insert(version, self.recorder.slot(label));
+        for (&version, (label, model)) in new {
+            let state = VersionState {
+                slot: self.recorder.slot(label),
+                model: *model,
+                server: None,
+            };
+            self.versions.insert(version, state);
         }
+    }
+
+    /// The entry of `version`, adding a version no profile named under its
+    /// id rendering and the default model.
+    fn version(&mut self, version: VersionId) -> &mut VersionState {
+        let recorder = &mut self.recorder;
+        self.versions
+            .entry(version)
+            .or_insert_with(|| VersionState {
+                slot: recorder.slot(&version.to_string()),
+                model: BackendModel::Profile(BackendProfile::default()),
+                server: None,
+            })
     }
 
     /// The `service` label the service records under.
@@ -398,7 +422,29 @@ impl ServiceState {
 
     /// The running backend server of `version`, if any.
     pub(crate) fn server(&self, version: VersionId) -> Option<&VersionBackend> {
-        self.servers.server(version)
+        self.versions.get(&version)?.server.as_ref()
+    }
+
+    /// Closes instant `at` after its last tick: samples each server, hands
+    /// the sample to `sampled`, drains the proxy CPU and flushes the
+    /// recorder. An instant split by a control event closes once; its later
+    /// part is flushed with the next instant.
+    pub(crate) fn close_tick(&mut self, at: SimTime, mut sampled: impl FnMut(VersionId, f64)) {
+        if self.closed >= Some(at) {
+            return;
+        }
+        self.closed = Some(at);
+        for (&version, state) in &mut self.versions {
+            if let Some(server) = &mut state.server {
+                let percent = server.sample_utilization(at);
+                self.recorder.observe_utilization_in(state.slot, percent);
+                sampled(version, percent);
+            }
+        }
+        // Nothing samples the traffic CPUs, but without the drain the
+        // interval list grows by one entry per routed request.
+        let _ = self.cpu.sample_utilization(at);
+        self.recorder.flush(at.to_timestamp());
     }
 }
 
@@ -478,28 +524,27 @@ impl TrafficStream {
         self.arrivals.capacity()
     }
 
+    /// Raises the stream's peak utilisation of `version` to `percent`.
+    pub(crate) fn note_utilization(&mut self, version: VersionId, percent: f64) {
+        let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
+        *peak = peak.max(percent);
+    }
+
     /// Regenerates the `batch`-th tick's arrivals from its checkpoint and
-    /// routes them through `proxy` at virtual time `at` (the tick's window
-    /// end), charging routing cost to the service's shared proxy CPU,
-    /// dispatching primary *and* shadow decisions into the service's
-    /// backend servers, and records the outcomes with the service's
-    /// recorder.
+    /// routes them through `proxy`, charging routing cost to the service's
+    /// shared proxy CPU, dispatching primary *and* shadow decisions into
+    /// the service's backend servers, and buffers the outcomes in the
+    /// service's recorder. The service closes the tick
+    /// ([`ServiceState::close_tick`]).
     pub(crate) fn route_batch(
         &mut self,
         batch: usize,
         proxy: &ProxyHandle,
         service: &mut ServiceState,
-        at: SimTime,
     ) {
         let Some(tick) = self.ticks.get(batch) else {
             return;
         };
-        let ServiceState {
-            cpu,
-            servers,
-            recorder,
-            slots,
-        } = service;
         self.arrivals.clear();
         self.arrivals.reserve_exact(tick.count);
         self.arrivals
@@ -516,10 +561,11 @@ impl TrafficStream {
         // lock is uncontended.
         let routed = proxy.read().route_many_costed(self.scratch.iter());
         for (arrival, (decision, cost)) in arrivals.iter().zip(&routed) {
-            let receipt = cpu.submit(arrival.at, *cost);
+            let receipt = service.cpu.submit(arrival.at, *cost);
             self.stats.proxy_busy += *cost;
             let proxy_ms = (receipt.completed - arrival.at).as_secs_f64() * 1_000.0;
-            let model = self.profile.backend_of(decision.primary);
+            let primary = service.version(decision.primary);
+            let (slot, model) = (primary.slot, primary.model);
             // Service demand: the version's mean service time with a ±10%
             // deterministic jitter so latency series are not flat lines
             // (and queued servers see a demand distribution).
@@ -530,7 +576,9 @@ impl TrafficStream {
                     ServeOutcome::Served,
                 ),
                 BackendModel::Queued(queued) => {
-                    let server = servers.ensure(decision.primary, &queued);
+                    let server = primary
+                        .server
+                        .get_or_insert_with(|| VersionBackend::new(queued));
                     match server.dispatch(receipt.completed, queued.service_time.mul_f64(jitter)) {
                         // Shed is an immediate rejection: the caller only
                         // pays the routing latency.
@@ -576,10 +624,11 @@ impl TrafficStream {
             *self.stats.per_version.entry(decision.primary).or_insert(0) += 1;
             self.stats.total_latency_ms += latency_ms;
             self.stats.latencies_ms.push(latency_ms);
-            let slot = slot_of(slots, recorder, decision.primary);
-            recorder.observe_request_in(slot, latency_ms, success);
+            service
+                .recorder
+                .observe_request_in(slot, latency_ms, success);
             if outcome != ServeOutcome::Served {
-                recorder.observe_shed_in(slot);
+                service.recorder.observe_shed_in(slot);
             }
             for shadow in &decision.shadows {
                 self.stats.shadow_copies += 1;
@@ -593,53 +642,29 @@ impl TrafficStream {
                 // surfaces to the caller: no latency, no error. The demand
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
-                let shadow_model = self.profile.backend_of(shadow.target);
-                let slot = slot_of(slots, recorder, shadow.target);
-                recorder.observe_shadow_in(slot);
-                if let BackendModel::Queued(queued) = shadow_model {
-                    let demand = queued
-                        .service_time
-                        .mul_f64(0.9 + 0.2 * self.shadow_rng.uniform());
-                    let server = servers.ensure(shadow.target, &queued);
-                    if server.dispatch(receipt.completed, demand) == BackendDispatch::Shed {
-                        self.stats.shadow_shed += 1;
-                        recorder.observe_shed_in(slot);
+                let target = service.version(shadow.target);
+                let slot = target.slot;
+                let shed = match target.model {
+                    BackendModel::Queued(queued) => {
+                        let demand = queued
+                            .service_time
+                            .mul_f64(0.9 + 0.2 * self.shadow_rng.uniform());
+                        let server = target
+                            .server
+                            .get_or_insert_with(|| VersionBackend::new(queued));
+                        server.dispatch(receipt.completed, demand) == BackendDispatch::Shed
                     }
+                    BackendModel::Profile(_) => false,
+                };
+                service.recorder.observe_shadow_in(slot);
+                if shed {
+                    self.stats.shadow_shed += 1;
+                    service.recorder.observe_shed_in(slot);
                 }
             }
         }
         self.stats.ticks += 1;
-        // Sample each backend's replica utilisation over the tick and
-        // publish it per version; sampling also drains the replicas'
-        // pending execution-interval lists. (With several streams on one
-        // service, the first stream's tick consumes the window.)
-        for (version, server) in servers.iter_mut() {
-            let percent = server.sample_utilization(at);
-            let slot = slot_of(slots, recorder, version);
-            recorder.observe_utilization_in(slot, percent);
-            let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
-            if percent > *peak {
-                *peak = percent;
-            }
-        }
-        // Drain the CPU's utilisation-sampling intervals: nothing samples
-        // the traffic CPUs, and without the drain the interval list grows
-        // by one entry per routed request.
-        let _ = cpu.sample_utilization(at);
-        recorder.flush(at.to_timestamp());
     }
-}
-
-/// The recorder slot of `version`, registering a version the profile did
-/// not name under its id rendering on first sight.
-fn slot_of(
-    slots: &mut BTreeMap<VersionId, VersionSlot>,
-    recorder: &mut TrafficSeriesRecorder,
-    version: VersionId,
-) -> VersionSlot {
-    *slots
-        .entry(version)
-        .or_insert_with(|| recorder.slot(&version.to_string()))
 }
 
 /// How a primary request fared at its backend.
