@@ -17,6 +17,12 @@
 #   scripts/output_digests.sh > after.txt    # at the change
 #   diff before.txt after.txt
 #
+# scripts/output_digests.expected pins the digests of the committed code,
+# and CI diffs a run against it, so a change that moves an output has to
+# re-pin that file in the same commit:
+#
+#   scripts/output_digests.sh > scripts/output_digests.expected
+#
 # Needs cargo, sha256sum and jq. Takes under a minute after the build.
 
 set -euo pipefail
