@@ -12,8 +12,15 @@
 //!   service demand per request, intrinsic error rate, replica count,
 //!   per-replica queue bound, and a request timeout;
 //! * a [`VersionBackend`] is the running instance: one single-core
-//!   [`CpuResource`] per replica, dispatched least-backlogged-first, with
-//!   arrivals beyond the queue bound shed immediately;
+//!   [`CpuResource`] per replica. A request goes to the replica that can
+//!   start it earliest among those whose queue has room, the lowest index
+//!   on ties, and is shed immediately when every queue is full. An
+//!   admitted request holds its place in the queue until the first later
+//!   dispatch whose time reaches its completion, so room is judged at the
+//!   running maximum of dispatch times since it was admitted. A min-tree
+//!   over the replicas (free time, or none while full) and a heap of full
+//!   replicas (keyed by the completion that frees a place) make a dispatch
+//!   O(log replicas);
 //! * a [`BackendFleet`] keys running servers by `(ServiceId, VersionId)`,
 //!   for harnesses that dispatch outside an engine. The engine keeps each
 //!   server in its service's version table in the data plane (see
@@ -31,7 +38,8 @@
 
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_simnet::{CpuResource, SimTime, WorkReceipt};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 use std::time::Duration;
 
@@ -114,16 +122,22 @@ pub enum BackendDispatch {
     Shed,
 }
 
+/// Stands for "no room" in the room tree: later than any completion.
+const NO_ROOM: SimTime = SimTime::from_micros(u64::MAX);
+
 /// One replica: a single-core queued server (the paper testbed's
 /// `n1-standard-1` shape) plus the completion times of its outstanding
 /// requests, so the queue bound is enforceable without a full event list.
 #[derive(Debug, Clone)]
 struct Replica {
     cpu: CpuResource,
-    /// Completion times of admitted, not-yet-finished requests. Pushed in
-    /// dispatch order; a single-core FIFO server completes in that order,
+    /// Completion times of admitted requests not yet known to be done, in
+    /// dispatch order. A single-core FIFO server completes in that order,
     /// so the front is always the earliest completion.
     inflight: VecDeque<SimTime>,
+    /// The dispatch call that last admitted a request here. `inflight` is
+    /// pruned up to it, and only dispatch times after it can prune more.
+    pruned_at_call: u64,
 }
 
 impl Replica {
@@ -131,16 +145,8 @@ impl Replica {
         Self {
             cpu: CpuResource::single_core(),
             inflight: VecDeque::new(),
+            pruned_at_call: 0,
         }
-    }
-
-    /// Drops completed entries and returns the number of requests still
-    /// outstanding at `at`.
-    fn outstanding(&mut self, at: SimTime) -> usize {
-        while self.inflight.front().is_some_and(|done| *done <= at) {
-            self.inflight.pop_front();
-        }
-        self.inflight.len()
     }
 }
 
@@ -148,6 +154,13 @@ impl Replica {
 pub struct VersionBackend {
     spec: QueuedBackend,
     replicas: Vec<Replica>,
+    /// Each replica's free time if its queue has room, [`NO_ROOM`] if not.
+    room: MinTree,
+    /// The replicas whose queue is full, keyed by the completion that gives
+    /// them room again: their oldest outstanding request's.
+    full: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// The times of the dispatch calls so far.
+    calls: DispatchTimes,
     /// Requests shed because every replica's queue was full.
     shed: u64,
     /// Requests admitted (work charged to a replica).
@@ -157,10 +170,18 @@ pub struct VersionBackend {
 impl VersionBackend {
     /// Boots the version's replicas from its spec.
     pub fn new(spec: QueuedBackend) -> Self {
-        let replicas = (0..spec.replicas.max(1)).map(|_| Replica::new()).collect();
+        let replicas = spec.replicas.max(1);
+        let free = if spec.queue_capacity == 0 {
+            NO_ROOM
+        } else {
+            SimTime::ZERO
+        };
         Self {
             spec,
-            replicas,
+            replicas: (0..replicas).map(|_| Replica::new()).collect(),
+            room: MinTree::new(replicas, free),
+            full: BinaryHeap::new(),
+            calls: DispatchTimes::default(),
             shed: 0,
             admitted: 0,
         }
@@ -182,29 +203,47 @@ impl VersionBackend {
     }
 
     /// Dispatches one request arriving at the backend at `at` with the
-    /// given service `demand`: among the replicas whose queue
-    /// (outstanding requests) still has room, the least-backlogged one
-    /// admits it; the request is shed — no work charged — only when every
-    /// replica's queue is at capacity.
+    /// given service `demand`. Among the replicas whose queue has room, the
+    /// one that can start it earliest admits it, the lowest index on ties;
+    /// the request is shed — no work charged — when every queue is full.
+    ///
+    /// A queue has room when fewer than `queue_capacity` of its admitted
+    /// requests are outstanding. An admitted request stops counting at the
+    /// first dispatch after its own whose `at` reaches its completion:
+    /// room is judged at the running maximum of dispatch times since each
+    /// request was admitted, not at `at` alone, since `at` (a proxy
+    /// completion time) is not monotone. O(log replicas) per call.
     pub fn dispatch(&mut self, at: SimTime, demand: Duration) -> BackendDispatch {
-        let mut best: Option<(usize, SimTime)> = None;
-        for idx in 0..self.replicas.len() {
-            if self.replicas[idx].outstanding(at) >= self.spec.queue_capacity {
-                continue;
+        let call = self.calls.push(at);
+        while let Some(&Reverse((room_at, idx))) = self.full.peek() {
+            if room_at > at {
+                break;
             }
-            let start = self.replicas[idx].cpu.earliest_start(at);
-            // Strict `<` keeps the lowest index on ties — deterministic.
-            if best.is_none_or(|(_, s)| start < s) {
-                best = Some((idx, start));
-            }
+            self.full.pop();
+            self.room.set(idx, self.replicas[idx].cpu.drained_at());
         }
-        let Some((idx, _)) = best else {
+        // Every replica free by `at` starts the request at `at`; otherwise
+        // the earliest free one starts it.
+        let earliest = self.room.min();
+        if earliest == NO_ROOM {
             self.shed += 1;
             return BackendDispatch::Shed;
-        };
+        }
+        let idx = self.room.leftmost_at_most(earliest.max(at));
         let replica = &mut self.replicas[idx];
+        let passed = self.calls.max_since(replica.pruned_at_call);
+        while replica.inflight.front().is_some_and(|done| *done <= passed) {
+            replica.inflight.pop_front();
+        }
         let receipt = replica.cpu.submit(at, demand);
         replica.inflight.push_back(receipt.completed);
+        replica.pruned_at_call = call;
+        if replica.inflight.len() >= self.spec.queue_capacity {
+            self.full.push(Reverse((replica.inflight[0], idx)));
+            self.room.set(idx, NO_ROOM);
+        } else {
+            self.room.set(idx, receipt.completed);
+        }
         self.admitted += 1;
         BackendDispatch::Admitted(receipt)
     }
@@ -221,16 +260,88 @@ impl VersionBackend {
             .sum();
         sum / self.replicas.len() as f64
     }
+}
 
-    /// Average utilisation of the version's replicas from time zero to
-    /// `now` (independent of the sampling windows).
-    pub fn average_utilization(&self, now: SimTime) -> f64 {
-        let sum: f64 = self
-            .replicas
-            .iter()
-            .map(|r| r.cpu.average_utilization(now))
-            .sum();
-        sum / self.replicas.len() as f64
+/// The times of a server's dispatch calls, kept as the maxima of their
+/// suffixes: `(call, at)` pairs with ascending calls and strictly
+/// descending times, the last one the latest call. A call is dropped once
+/// a later one is at least as late, so in time order only the latest call
+/// is kept.
+#[derive(Debug, Default)]
+struct DispatchTimes {
+    maxima: Vec<(u64, SimTime)>,
+    calls: u64,
+}
+
+impl DispatchTimes {
+    /// Records a call at `at` and returns its number, counted from 1.
+    fn push(&mut self, at: SimTime) -> u64 {
+        self.calls += 1;
+        while self.maxima.last().is_some_and(|&(_, time)| time <= at) {
+            self.maxima.pop();
+        }
+        self.maxima.push((self.calls, at));
+        self.calls
+    }
+
+    /// The latest time among the calls after `call`. At least one call
+    /// must have been made since.
+    fn max_since(&self, call: u64) -> SimTime {
+        let first = self.maxima.partition_point(|&(k, _)| k <= call);
+        self.maxima[first].1
+    }
+}
+
+/// A min-tree over `len` keys: `nodes[1]` is the root, node `k`'s children
+/// are `2k` and `2k + 1`, and key `i` is leaf `leaves + i`. Padding leaves
+/// hold [`NO_ROOM`].
+#[derive(Debug)]
+struct MinTree {
+    nodes: Vec<SimTime>,
+    leaves: usize,
+}
+
+impl MinTree {
+    fn new(len: usize, key: SimTime) -> Self {
+        let leaves = len.next_power_of_two();
+        let mut nodes = vec![NO_ROOM; 2 * leaves];
+        nodes[leaves..leaves + len].fill(key);
+        for k in (1..leaves).rev() {
+            nodes[k] = nodes[2 * k].min(nodes[2 * k + 1]);
+        }
+        Self { nodes, leaves }
+    }
+
+    /// The least key.
+    fn min(&self) -> SimTime {
+        self.nodes[1]
+    }
+
+    fn set(&mut self, i: usize, key: SimTime) {
+        let mut k = self.leaves + i;
+        self.nodes[k] = key;
+        while k > 1 {
+            k /= 2;
+            let min = self.nodes[2 * k].min(self.nodes[2 * k + 1]);
+            if self.nodes[k] == min {
+                break;
+            }
+            self.nodes[k] = min;
+        }
+    }
+
+    /// The lowest index whose key is at most `bound`, which must be at
+    /// least the least key.
+    fn leftmost_at_most(&self, bound: SimTime) -> usize {
+        let mut k = 1;
+        while k < self.leaves {
+            k = if self.nodes[2 * k] <= bound {
+                2 * k
+            } else {
+                2 * k + 1
+            };
+        }
+        k - self.leaves
     }
 }
 
@@ -397,7 +508,6 @@ mod tests {
         // 2 × 10 ms over 2 replicas in a 20 ms window → 50 %.
         let u = server.sample_utilization(SimTime::from_millis(20));
         assert!((u - 50.0).abs() < 1e-9, "{u}");
-        assert!((server.average_utilization(SimTime::from_millis(20)) - 50.0).abs() < 1e-9);
     }
 
     #[test]
