@@ -168,19 +168,17 @@ impl CpuResource {
         let window_start = self.last_sample_at;
         let window = now - window_start;
         let mut busy_in_window = Duration::ZERO;
-        let mut remaining = Vec::new();
-        for (start, end) in self.pending_intervals.drain(..) {
-            let overlap_start = start.max(window_start);
-            let overlap_end = end.min(now);
+        self.pending_intervals.retain_mut(|(start, end)| {
+            let overlap_start = (*start).max(window_start);
+            let overlap_end = (*end).min(now);
             if overlap_end > overlap_start {
                 busy_in_window += overlap_end - overlap_start;
             }
-            if end > now {
-                // The tail of this interval belongs to future windows.
-                remaining.push((start.max(now), end));
-            }
-        }
-        self.pending_intervals = remaining;
+            // The tail of an interval running past `now` belongs to future
+            // windows.
+            *start = (*start).max(now);
+            *end > now
+        });
         let utilization = if window.is_zero() {
             0.0
         } else {
