@@ -10,13 +10,21 @@
 //! touch only what it owns and its own proxy, and they write only its own
 //! metric series, so services replay on separate workers, each in queue
 //! order, and the outcome does not depend on the worker count.
+//!
+//! Within a service, routing reads nothing that serving writes, and a run
+//! holds no configuration push (pushes are control events). So when a run
+//! may use two workers per service it touches, each service routes its
+//! ticks on one thread while another serves them, a few ticks behind
+//! (a staged pipeline, as in SEDA: Welsh et al., SOSP 2001). One heavy
+//! service then uses two cores, with the same outcome.
 
 use crate::backends::VersionBackend;
-use crate::proxies::ProxyFleet;
-use crate::traffic::{ServiceState, TrafficStats, TrafficStream};
+use crate::proxies::{ProxyFleet, ProxyHandle};
+use crate::traffic::{ServiceBack, ServiceFront, TickPacket, TrafficStats, TrafficStream};
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_metrics::SharedMetricStore;
 use bifrost_simnet::SimTime;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Mutex, OnceLock};
 
 /// One popped traffic tick: `(stream index, batch index, tick time)`.
@@ -30,6 +38,10 @@ pub(crate) type Tick = (usize, usize, SimTime);
 /// spawned, and matched it with this cap.
 const REQUESTS_PER_WORKER: usize = 1_024;
 
+/// The routed ticks a service's routing stage may run ahead of its serving
+/// stage.
+const PIPELINE_DEPTH: usize = 2;
+
 /// The engine's traffic state, one partition per service.
 #[derive(Debug, Default)]
 pub(crate) struct DataPlane {
@@ -41,15 +53,21 @@ pub(crate) struct DataPlane {
     /// A worker count that replaces the host's parallelism in tests.
     #[cfg(test)]
     pub(crate) workers: Option<usize>,
+    /// The services replayed as two-stage pipelines so far.
+    #[cfg(test)]
+    pub(crate) pipelined: usize,
 }
 
-/// One service's partition: its streams in attach order, the state they
-/// share, and the ticks of the run being stepped.
+/// One service's partition: its streams in attach order, split into the
+/// routing stage and the serving stage, and the ticks of the run being
+/// stepped.
 #[derive(Debug)]
 struct ServicePlane {
     service: ServiceId,
-    streams: Vec<TrafficStream>,
-    state: ServiceState,
+    front: ServiceFront,
+    back: ServiceBack,
+    /// Tick packets kept for reuse by the routing stage.
+    packets: Vec<TickPacket>,
     /// The current run's ticks of this service, in queue order:
     /// `(place among the streams, batch index, tick time)`.
     ticks: Vec<(usize, usize, SimTime)>,
@@ -62,21 +80,21 @@ impl DataPlane {
     /// for yet. Panics on a label that breaks the rule of one label per
     /// service (see [`crate::BifrostEngine::attach_traffic`]).
     pub(crate) fn attach(&mut self, stream: TrafficStream, store: SharedMetricStore) -> usize {
-        let profile = stream.profile();
+        let profile = stream.front.profile();
         let (service, label) = (profile.service(), profile.service_label());
         let entry = match self.services.iter().position(|p| p.service == service) {
             Some(entry) => {
-                let state = &mut self.services[entry].state;
+                let back = &mut self.services[entry].back;
                 assert!(
-                    state.label() == label,
+                    back.label() == label,
                     "service {service} records under the label `{}`, not `{label}`",
-                    state.label()
+                    back.label()
                 );
-                state.register(profile);
+                back.register(profile);
                 entry
             }
             None => {
-                if let Some(other) = self.services.iter().find(|p| p.state.label() == label) {
+                if let Some(other) = self.services.iter().find(|p| p.back.label() == label) {
                     panic!(
                         "the label `{label}` already names service {}",
                         other.service
@@ -84,16 +102,18 @@ impl DataPlane {
                 }
                 self.services.push(ServicePlane {
                     service,
-                    state: ServiceState::new(profile, store),
-                    streams: Vec::new(),
+                    front: ServiceFront::new(profile),
+                    back: ServiceBack::new(profile, store),
+                    packets: Vec::new(),
                     ticks: Vec::new(),
                 });
                 self.services.len() - 1
             }
         };
-        let streams = &mut self.services[entry].streams;
-        self.streams.push((entry, streams.len()));
-        streams.push(stream);
+        let plane = &mut self.services[entry];
+        self.streams.push((entry, plane.front.streams.len()));
+        plane.front.streams.push(stream.front);
+        plane.back.streams.push(stream.back);
         self.streams.len() - 1
     }
 
@@ -105,7 +125,7 @@ impl DataPlane {
     /// The statistics of stream `index`.
     pub(crate) fn stats(&self, index: usize) -> Option<&TrafficStats> {
         let &(entry, place) = self.streams.get(index)?;
-        Some(self.services[entry].streams[place].stats())
+        Some(self.services[entry].back.streams[place].stats())
     }
 
     /// The running backend server of `(service, version)`, if any.
@@ -115,7 +135,7 @@ impl DataPlane {
         version: VersionId,
     ) -> Option<&VersionBackend> {
         let plane = self.services.iter().find(|p| p.service == service)?;
-        plane.state.server(version)
+        plane.back.server(version)
     }
 
     /// The workers a run of `requests` arrivals may use: the host's
@@ -133,11 +153,12 @@ impl DataPlane {
     }
 
     /// Replays a run of ticks, given in queue order: each service the run
-    /// touches replays its ticks in queue order on one of `min(workers,
-    /// services touched)` threads, the caller's thread being one of them,
-    /// so a run that touches one service, a run of at most
-    /// [`REQUESTS_PER_WORKER`] arrivals, or a host with one CPU spawns no
-    /// thread.
+    /// touches replays its ticks in queue order. When the run may use two
+    /// workers per service it touches, each service routes on one thread
+    /// and serves on another; otherwise the services share `min(workers,
+    /// services touched)` threads. The caller's thread is one of them, so a
+    /// run of at most [`REQUESTS_PER_WORKER`] arrivals or a host with one
+    /// CPU spawns no thread.
     pub(crate) fn step(&mut self, run: &[Tick], proxies: &ProxyFleet) {
         if run.is_empty() {
             return;
@@ -146,7 +167,7 @@ impl DataPlane {
         for &(index, batch, at) in run {
             let (entry, place) = self.streams[index];
             let plane = &mut self.services[entry];
-            requests += plane.streams[place].batch_len(batch);
+            requests += plane.front.streams[place].batch_len(batch);
             plane.ticks.push((place, batch, at));
         }
         let workers = self.workers(requests);
@@ -155,6 +176,11 @@ impl DataPlane {
             .iter_mut()
             .filter(|plane| !plane.ticks.is_empty())
             .collect();
+        let pipelined = workers >= 2 * touched.len();
+        #[cfg(test)]
+        if pipelined {
+            self.pipelined += touched.len();
+        }
         let workers = workers.min(touched.len());
         let queue = Mutex::new(touched.into_iter());
         let drain = || loop {
@@ -164,7 +190,7 @@ impl DataPlane {
                 .expect("the service queue is never poisoned")
                 .next();
             match next {
-                Some(plane) => plane.replay(proxies),
+                Some(plane) => plane.replay(proxies, pipelined),
                 None => break,
             }
         };
@@ -179,24 +205,98 @@ impl DataPlane {
 
 impl ServicePlane {
     /// Replays and clears the service's ticks, in queue order, closing each
-    /// instant after its last tick. A service with no registered proxy
-    /// skips them (like rules for unregistered services).
-    fn replay(&mut self, proxies: &ProxyFleet) {
+    /// instant after its last tick, serving on a thread of its own if
+    /// `pipelined`. A service with no registered proxy skips them (like
+    /// rules for unregistered services).
+    ///
+    /// Either way the routing stage routes each tick and then closes each
+    /// instant, and the serving stage serves each tick and then closes each
+    /// instant, both in queue order. Routing reads nothing the serving
+    /// stage writes, and a run holds no configuration push, so where the
+    /// serving stage stands while a tick is routed cannot change the
+    /// outcome.
+    fn replay(&mut self, proxies: &ProxyFleet, pipelined: bool) {
         if let Some(proxy) = proxies.handle(self.service) {
-            // A run is in time order: the ticks of an instant are adjacent.
-            for instant in self.ticks.chunk_by(|a, b| a.2 == b.2) {
-                for &(place, batch, _) in instant {
-                    self.streams[place].route_batch(batch, &proxy, &mut self.state);
-                }
-                self.state.close_tick(instant[0].2, |version, percent| {
-                    for &(place, ..) in instant {
-                        self.streams[place].note_utilization(version, percent);
+            if pipelined {
+                self.replay_pipelined(&proxy);
+            } else {
+                let mut packet = self.packets.pop().unwrap_or_default();
+                for instant in instants(&self.ticks) {
+                    let at = instant[0].2;
+                    for &(place, batch, _) in instant {
+                        self.front.route(place, batch, &proxy, &mut packet);
+                        self.back.serve(place, &packet);
                     }
-                });
+                    self.front.close_tick(at);
+                    self.back.close_tick(at, instant.iter().map(|tick| tick.0));
+                }
+                self.packets.push(packet);
             }
         }
         self.ticks.clear();
     }
+
+    /// Routes the run's ticks on this thread and serves them on another,
+    /// handing them over through a bounded channel of packets that come
+    /// back for reuse.
+    fn replay_pipelined(&mut self, proxy: &ProxyHandle) {
+        let Self {
+            front,
+            back,
+            packets,
+            ticks,
+            ..
+        } = self;
+        let ticks: &[_] = ticks;
+        let (to_back, routed) = sync_channel(PIPELINE_DEPTH);
+        let (to_front, served) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || serve_run(back, ticks, routed, to_front));
+            for instant in instants(ticks) {
+                for &(place, batch, _) in instant {
+                    let mut packet = served
+                        .try_recv()
+                        .ok()
+                        .or_else(|| packets.pop())
+                        .unwrap_or_default();
+                    front.route(place, batch, proxy, &mut packet);
+                    if to_back.send(packet).is_err() {
+                        // The serving stage panicked; the scope rethrows.
+                        return;
+                    }
+                }
+                front.close_tick(instant[0].2);
+            }
+        });
+        packets.extend(served.try_iter());
+    }
+}
+
+/// The serving stage of a pipelined run: serves each tick packet as it
+/// arrives, sends it back, and closes each instant.
+fn serve_run(
+    back: &mut ServiceBack,
+    ticks: &[(usize, usize, SimTime)],
+    routed: Receiver<TickPacket>,
+    to_front: Sender<TickPacket>,
+) {
+    for instant in instants(ticks) {
+        for &(place, ..) in instant {
+            let packet = routed
+                .recv()
+                .expect("the routing stage sends every tick of the run");
+            back.serve(place, &packet);
+            // The routing stage holds its receiver until the run ends.
+            let _ = to_front.send(packet);
+        }
+        back.close_tick(instant[0].2, instant.iter().map(|tick| tick.0));
+    }
+}
+
+/// The ticks of a run grouped by instant. A run is in time order, so the
+/// ticks of an instant are adjacent.
+fn instants(ticks: &[(usize, usize, SimTime)]) -> impl Iterator<Item = &[(usize, usize, SimTime)]> {
+    ticks.chunk_by(|a, b| a.2 == b.2)
 }
 
 #[cfg(test)]

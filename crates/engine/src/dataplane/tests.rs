@@ -5,12 +5,12 @@
 //! partition and label rules, and the counters of a service with two
 //! streams.
 
-use super::REQUESTS_PER_WORKER;
+use super::{PIPELINE_DEPTH, REQUESTS_PER_WORKER};
 use crate::backends::QueuedBackend;
 use crate::cost::EngineCostModel;
 use crate::engine::{BifrostEngine, EngineConfig};
 use crate::events::{EngineEvent, EventLog};
-use crate::traffic::{BackendProfile, TrafficHandle, TrafficProfile, TrafficStats, TrafficStream};
+use crate::traffic::{BackendProfile, StreamFront, TrafficHandle, TrafficProfile, TrafficStats};
 use bifrost_core::check::QueryAggregation;
 use bifrost_core::phase::PhaseCheck;
 use bifrost_core::prelude::*;
@@ -259,14 +259,14 @@ fn run(workers: usize, drive: Drive) -> Outcome {
     }
 }
 
-/// The streams of `engine` in attach order.
-fn streams(engine: &mut BifrostEngine) -> Vec<&TrafficStream> {
+/// The routing halves of the streams of `engine`, in attach order.
+fn streams(engine: &mut BifrostEngine) -> Vec<&StreamFront> {
     let plane = engine.plane_mut();
     let services = &plane.services;
     plane
         .streams
         .iter()
-        .map(|&(entry, place)| &services[entry].streams[place])
+        .map(|&(entry, place)| &services[entry].front.streams[place])
         .collect()
 }
 
@@ -421,22 +421,182 @@ fn serial_outcomes_are_pinned() {
     }
 }
 
+/// The one-service checkout scenario of the two-stage pipeline at
+/// `workers` workers, driven to completion, and its engine.
+///
+/// `checkout` has queued stable and canary versions and two streams. Its
+/// strategy starts at 2 s with a 6 s 30% canary, then a 6 s 40% dark
+/// launch of the canary, each checking the canary's errors at the first
+/// four seconds. The engine costs nothing, so every control event falls
+/// on the tick grid. The second stream is attached at 4 s, after the check
+/// due at 5 s and the canary's deadline at 8 s were queued, so that check
+/// and the proxy push at that deadline each split an instant between the
+/// streams' ticks. The second stream's ticks before 4 s all fall on 4 s.
+fn pipeline_run(workers: usize) -> (Outcome, BifrostEngine) {
+    let mut catalog = ServiceCatalog::new();
+    let service = catalog.add_service(Service::new("checkout"));
+    let mut version = |name: &str, host: &str| {
+        catalog
+            .add_version(service, ServiceVersion::new(name, Endpoint::new(host, 80)))
+            .unwrap()
+    };
+    let (stable, canary) = (version("v1", "10.3.0.1"), version("v2", "10.3.0.2"));
+    let costs = EngineCostModel {
+        check_execution_ms: 0.0,
+        metric_query_ms: 0.0,
+        state_evaluation_ms: 0.0,
+        proxy_update_ms: 0.0,
+        strategy_admission_ms: 0.0,
+    };
+    let mut engine = BifrostEngine::new(EngineConfig {
+        costs,
+        ..EngineConfig::default().with_seed(Seed::new(41))
+    });
+    engine.plane_mut().workers = Some(workers);
+    let store = SharedMetricStore::new();
+    engine.register_store_provider("prometheus", store.clone());
+    engine.register_proxy(service, stable);
+    let errors = PhaseCheck::basic(
+        "v2-errors",
+        CheckSpec::single(
+            MetricQuery::new("prometheus", "v2-errors", "request_errors")
+                .with_label("service", "checkout")
+                .with_label("version", "v2")
+                .with_window_secs(5)
+                .with_aggregation(QueryAggregation::Rate),
+            Validator::LessThan(5_000.0),
+        ),
+        Timer::from_secs(1, 4).unwrap(),
+        OutcomeMapping::binary(4, -1, 1).unwrap(),
+    );
+    let share = |percent| Percentage::new(percent).unwrap();
+    let strategy = StrategyBuilder::new("checkout-release", catalog)
+        .phase(
+            PhaseSpec::canary("canary", service, stable, canary, share(30.0))
+                .check(errors.clone())
+                .duration_secs(6),
+        )
+        .phase(
+            PhaseSpec::dark_launch("dark", service, stable, canary, share(40.0))
+                .check(errors)
+                .duration_secs(6),
+        )
+        .build()
+        .unwrap();
+    let profile = |rps| {
+        TrafficProfile::new(service, load(rps))
+            .with_tick(TICK)
+            .with_cores(24)
+            .with_service_label("checkout")
+            .with_queued_backend(
+                stable,
+                "v1",
+                QueuedBackend::new(Duration::from_millis(3)).with_replicas(3),
+            )
+            .with_queued_backend(
+                canary,
+                "v2",
+                QueuedBackend::new(Duration::from_millis(8))
+                    .with_replicas(2)
+                    .with_error_rate(0.02)
+                    .with_queue_capacity(4)
+                    .with_timeout(Duration::from_millis(30)),
+            )
+    };
+    let first = engine.attach_traffic(profile(700.0), store.clone());
+    engine.schedule(strategy, SimTime::from_secs(2));
+    let mut processed = engine.run_until(SimTime::from_secs(4));
+    let second = engine.attach_traffic(profile(500.0), store.clone());
+    processed += engine.run_to_completion(SimTime::from_secs(3_600));
+    let outcome = Outcome {
+        processed,
+        now: engine.now(),
+        stats: [first, second]
+            .map(|handle| engine.traffic_stats(handle).unwrap().clone())
+            .to_vec(),
+        events: engine.events().clone(),
+        store: store.snapshot(),
+        backends: [stable, canary]
+            .iter()
+            .map(|&version| {
+                let server = engine.backend(service, version).unwrap();
+                (service, version, server.admitted(), server.shed())
+            })
+            .collect(),
+        proxies: vec![engine.proxy(service).unwrap().read().stats()],
+    };
+    (outcome, engine)
+}
+
+#[test]
+fn pipelined_outcomes_are_identical_to_serial_ones() {
+    let (serial, mut engine) = pipeline_run(1);
+    assert_eq!(engine.plane_mut().pipelined, 0);
+    // The scenario exercises what it claims to.
+    let stats = &serial.stats;
+    assert!(stats.iter().all(|s| s.requests > 0 && s.shadow_copies > 0));
+    assert!(stats
+        .iter()
+        .all(|s| s.shed + s.timed_out > 0 && s.shadow_shed > 0));
+    let at = |secs| SimTime::from_secs(secs);
+    let events = serial.events.events();
+    assert!(events.iter().any(|e| matches!(
+        e,
+        EngineEvent::CheckExecuted { at: t, .. } if *t == at(5)
+    )));
+    assert!(events.iter().any(|e| matches!(
+        e,
+        EngineEvent::ProxyConfigured { at: t, .. } if *t == at(8)
+    )));
+    // Captured with the single-stage replay and the linear replica scan
+    // that preceded the pipeline and the room tree.
+    let pinned = [
+        640,
+        30_000_000,
+        36_030,
+        41_193,
+        8_838_959_138_881_358_198,
+        19,
+        4_068,
+        6_667_784_610_715_395_985,
+    ];
+    assert_eq!(digest(&serial), pinned);
+    for workers in [2, 8] {
+        let (outcome, mut engine) = pipeline_run(workers);
+        assert!(engine.plane_mut().pipelined > 0, "{workers} workers");
+        assert_eq!(outcome, serial, "{workers} workers differ from 1 worker");
+    }
+}
+
 #[test]
 fn streams_hold_no_more_arrivals_than_their_largest_tick() {
+    // The worker-count scenario replays its services one per thread, and
+    // the checkout scenario pipelines its one service.
     let mut engine = scenario(2).engine;
     engine.run_to_completion(SimTime::from_secs(3_600));
-    for (index, stream) in streams(&mut engine).into_iter().enumerate() {
-        let largest = (0..stream.batch_times().len())
-            .map(|batch| stream.batch_len(batch))
-            .max()
-            .unwrap();
-        let capacity = stream.arrivals_capacity();
-        assert!(
-            capacity <= largest,
-            "stream {index}: {capacity} > {largest}"
-        );
-        // Stream 6 targets service 6, which has no proxy: it never routes.
-        assert_eq!(capacity == 0, index == 6, "stream {index}");
+    let (_, pipelined) = pipeline_run(2);
+    for (mut engine, depth) in [(engine, 1), (pipelined, PIPELINE_DEPTH + 2)] {
+        for plane in &engine.plane_mut().services {
+            let largest = (plane.front.streams.iter())
+                .flat_map(|stream| {
+                    let batches = 0..stream.batch_times().len();
+                    batches.map(|batch| stream.batch_len(batch))
+                })
+                .max()
+                .unwrap();
+            let service = plane.service;
+            // Service 6 of the worker-count scenario has no proxy: it never
+            // routes.
+            assert_eq!(plane.packets.is_empty(), service == ServiceId::new(6));
+            assert!(plane.packets.len() <= depth, "{service}");
+            for packet in &plane.packets {
+                let capacities = packet.capacities();
+                assert!(
+                    capacities.iter().all(|&capacity| capacity <= largest),
+                    "{service}: {capacities:?} > {largest}"
+                );
+            }
+        }
     }
 }
 

@@ -227,7 +227,7 @@ impl BifrostEngine {
         store: SharedMetricStore,
     ) -> TrafficHandle {
         let stream = TrafficStream::new(profile, self.plane.len(), self.config.seed);
-        let tick_times = stream.batch_times();
+        let tick_times = stream.front.batch_times();
         let index = self.plane.attach(stream, store);
         self.pending_traffic_ticks += tick_times.len();
         self.queue

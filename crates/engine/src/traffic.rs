@@ -32,12 +32,15 @@
 //! control event still sees every tick queued before it, so this equals
 //! handling each event as it is popped. A run is split by service. Each
 //! service owns its streams, its proxy-VM CPU, one recorder and one entry
-//! per version, and replays its ticks in queue order, on one of
-//! `min(available_parallelism(), services the run touches, ⌈arrivals /
-//! 1024⌉)` threads. The engine's own thread is one of them, so a run that
-//! touches one service, a run of at most 1024 arrivals, or a host with one
-//! CPU spawns no thread. A service closes each tick instant once, after its
-//! last tick there, so each of its series gets one sample per instant.
+//! per version, and replays its ticks in queue order in two stages: a
+//! routing stage (`ServiceFront`: regenerate, route, charge the proxy
+//! CPU) and a serving stage (`ServiceBack`: backend draws and dispatch,
+//! statistics, recorder). Each stream is split the same way
+//! (`StreamFront`, `StreamBack`), and a routed tick passes between the
+//! stages as a `TickPacket`. Routing reads nothing the serving stage
+//! writes, so the stages may run on two threads (see the `dataplane`
+//! module). A service closes each tick instant once, after its last tick
+//! there, so each of its series gets one sample per instant.
 //!
 //! A service records under one `service` label, and a label names one
 //! service, so services write disjoint series of the metric store, and the
@@ -53,7 +56,7 @@ use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::seed::Seed;
 use bifrost_metrics::traffic::VersionSlot;
 use bifrost_metrics::{SharedMetricStore, TrafficSeriesRecorder};
-use bifrost_proxy::ProxyRequest;
+use bifrost_proxy::{ProxyRequest, RoutingDecision};
 use bifrost_simnet::{CpuResource, SimRng, SimTime};
 use bifrost_workload::{Arrival, LoadProfile, TickCheckpoint};
 use std::collections::BTreeMap;
@@ -343,13 +346,181 @@ impl fmt::Display for TrafficHandle {
     }
 }
 
-/// What every stream of one service shares: the proxy VM's CPU, so
-/// concurrent streams through the same proxy contend for the same cores;
-/// one entry per version, so they charge the same replicas; and the
-/// recorder, so each counter series is one running total.
+/// One attached traffic stream, as its two stages hold it: the part that
+/// routes its ticks and the part that serves them.
+pub(crate) struct TrafficStream {
+    pub(crate) front: StreamFront,
+    pub(crate) back: StreamBack,
+}
+
+impl TrafficStream {
+    /// Builds a stream from its profile and the engine seed. Its arrivals
+    /// derive from the seed's `"traffic"` stream (namespaced by stream
+    /// index so two streams never replay the same sequence); one pass over
+    /// them records each non-empty tick's checkpoint and keeps no arrival.
+    pub(crate) fn new(profile: TrafficProfile, index: usize, seed: Seed) -> Self {
+        let stream_seed = seed.stream(&format!("traffic-{index}"));
+        let ticks = profile
+            .load
+            .cursor_seeded(stream_seed)
+            .ticks(profile.tick)
+            .collect();
+        Self {
+            front: StreamFront {
+                profile,
+                ticks,
+                scratch: Vec::new(),
+            },
+            back: StreamBack {
+                rng: SimRng::seeded(stream_seed.stream("backends").value()),
+                shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
+                stats: TrafficStats::default(),
+            },
+        }
+    }
+}
+
+/// The routing half of a stream: its profile, its per-tick arrival
+/// schedule and the buffer each tick's requests are built in.
+pub(crate) struct StreamFront {
+    profile: TrafficProfile,
+    /// One entry per non-empty tick: its end, its arrival count and the
+    /// generator state before its first arrival.
+    ticks: Vec<TickCheckpoint>,
+    /// Scratch buffer reused across ticks to build the batch's requests.
+    scratch: Vec<ProxyRequest>,
+}
+
+impl StreamFront {
+    /// The profile this stream was attached with.
+    pub(crate) fn profile(&self) -> &TrafficProfile {
+        &self.profile
+    }
+
+    /// The tick end times of every non-empty batch, for scheduling.
+    pub(crate) fn batch_times(&self) -> Vec<SimTime> {
+        self.ticks.iter().map(|tick| tick.end).collect()
+    }
+
+    /// The number of arrivals in the `batch`-th tick.
+    pub(crate) fn batch_len(&self, batch: usize) -> usize {
+        self.ticks.get(batch).map_or(0, |tick| tick.count)
+    }
+}
+
+/// The serving half of a stream: the seeded RNGs for backend behaviour
+/// and the stream's statistics.
+pub(crate) struct StreamBack {
+    rng: SimRng,
+    /// A separate seeded RNG for shadow service-demand draws, so the
+    /// presence or share of a dark launch never perturbs the primary
+    /// stream's jitter/error sequence — when the shadow version serves no
+    /// primary traffic, primary-visible outcomes are byte-identical with
+    /// and without shadow traffic. (If the shadow target also serves a
+    /// primary split, the shadow load still occupies the shared replicas,
+    /// so primary queueing there degrades — deliberately.)
+    shadow_rng: SimRng,
+    stats: TrafficStats,
+}
+
+impl StreamBack {
+    /// The aggregate statistics so far.
+    pub(crate) fn stats(&self) -> &TrafficStats {
+        &self.stats
+    }
+}
+
+/// One tick on its way from a service's routing stage to its serving
+/// stage: the tick's arrivals, the proxy's decision and cost for each, and
+/// when the proxy finished each. Packets go back to the routing stage to
+/// be refilled, so the thread that grows a buffer also frees it.
+#[derive(Debug, Default)]
+pub(crate) struct TickPacket {
+    arrivals: Vec<Arrival>,
+    routed: Vec<(RoutingDecision, Duration)>,
+    routed_at: Vec<SimTime>,
+}
+
+impl TickPacket {
+    /// The capacities of the per-arrival buffers.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 3] {
+        [
+            self.arrivals.capacity(),
+            self.routed.capacity(),
+            self.routed_at.capacity(),
+        ]
+    }
+}
+
+/// The routing stage of a service: its streams' routing halves and the
+/// proxy VM's CPU, which concurrent streams through the same proxy
+/// contend for.
 #[derive(Debug)]
-pub(crate) struct ServiceState {
+pub(crate) struct ServiceFront {
+    pub(crate) streams: Vec<StreamFront>,
     cpu: CpuResource,
+}
+
+impl ServiceFront {
+    /// The routing stage of a service whose first stream has `profile`,
+    /// which sizes the proxy VM.
+    pub(crate) fn new(profile: &TrafficProfile) -> Self {
+        Self {
+            streams: Vec::new(),
+            cpu: CpuResource::new(profile.cores),
+        }
+    }
+
+    /// Regenerates the `batch`-th tick of stream `place` from its
+    /// checkpoint into `packet`, routes it through `proxy` in one pass and
+    /// charges each request's routing cost to the proxy CPU.
+    pub(crate) fn route(
+        &mut self,
+        place: usize,
+        batch: usize,
+        proxy: &ProxyHandle,
+        packet: &mut TickPacket,
+    ) {
+        let stream = &mut self.streams[place];
+        let tick = &stream.ticks[batch];
+        packet.arrivals.clear();
+        packet.arrivals.reserve_exact(tick.count);
+        packet
+            .arrivals
+            .extend(stream.profile.load.resume(&tick.start).take(tick.count));
+        stream.scratch.clear();
+        stream
+            .scratch
+            .extend((packet.arrivals.iter()).map(|arrival| ProxyRequest::from_user(arrival.user)));
+        // A service's routing stage runs on one thread, so no other stream
+        // routes through this proxy meanwhile and the read lock is
+        // uncontended.
+        packet.routed.clear();
+        packet.routed.reserve_exact(tick.count);
+        (proxy.read()).route_many_costed_into(stream.scratch.iter(), &mut packet.routed);
+        packet.routed_at.clear();
+        packet.routed_at.reserve_exact(tick.count);
+        let charged = packet.arrivals.iter().zip(&packet.routed);
+        packet.routed_at.extend(
+            charged.map(|(arrival, (_, cost))| self.cpu.submit(arrival.at, *cost).completed),
+        );
+    }
+
+    /// Closes instant `at` after its last tick. Nothing samples the proxy
+    /// CPU, but without the drain its interval list grows by one entry per
+    /// routed request.
+    pub(crate) fn close_tick(&mut self, at: SimTime) {
+        let _ = self.cpu.sample_utilization(at);
+    }
+}
+
+/// The serving stage of a service: its streams' serving halves; one entry
+/// per version, so the streams charge the same replicas; and the recorder,
+/// so each counter series is one running total.
+#[derive(Debug)]
+pub(crate) struct ServiceBack {
+    pub(crate) streams: Vec<StreamBack>,
     recorder: TrafficSeriesRecorder,
     versions: BTreeMap<VersionId, VersionState>,
     /// The last instant closed: an instant closes at most once.
@@ -365,18 +536,34 @@ struct VersionState {
     server: Option<VersionBackend>,
 }
 
-impl ServiceState {
-    /// The state of a service whose first stream has `profile`: the
-    /// profile sizes the proxy VM and names the `service` label.
+impl VersionState {
+    /// The entry of `version` in `versions`, adding a version no profile
+    /// named under its id rendering and the default model.
+    fn of<'a>(
+        versions: &'a mut BTreeMap<VersionId, VersionState>,
+        recorder: &mut TrafficSeriesRecorder,
+        version: VersionId,
+    ) -> &'a mut VersionState {
+        versions.entry(version).or_insert_with(|| VersionState {
+            slot: recorder.slot(&version.to_string()),
+            model: BackendModel::Profile(BackendProfile::default()),
+            server: None,
+        })
+    }
+}
+
+impl ServiceBack {
+    /// The serving stage of a service whose first stream has `profile`,
+    /// which names the `service` label.
     pub(crate) fn new(profile: &TrafficProfile, store: SharedMetricStore) -> Self {
-        let mut state = Self {
-            cpu: CpuResource::new(profile.cores),
+        let mut back = Self {
+            streams: Vec::new(),
             recorder: TrafficSeriesRecorder::new(store, profile.service_label.clone()),
             versions: BTreeMap::new(),
             closed: None,
         };
-        state.register(profile);
-        state
+        back.register(profile);
+        back
     }
 
     /// Registers the versions `profile` names that the service has no
@@ -402,19 +589,6 @@ impl ServiceState {
         }
     }
 
-    /// The entry of `version`, adding a version no profile named under its
-    /// id rendering and the default model.
-    fn version(&mut self, version: VersionId) -> &mut VersionState {
-        let recorder = &mut self.recorder;
-        self.versions
-            .entry(version)
-            .or_insert_with(|| VersionState {
-                slot: recorder.slot(&version.to_string()),
-                model: BackendModel::Profile(BackendProfile::default()),
-                server: None,
-            })
-    }
-
     /// The `service` label the service records under.
     pub(crate) fn label(&self) -> &str {
         self.recorder.service_label()
@@ -425,151 +599,29 @@ impl ServiceState {
         self.versions.get(&version)?.server.as_ref()
     }
 
-    /// Closes instant `at` after its last tick: samples each server, hands
-    /// the sample to `sampled`, drains the proxy CPU and flushes the
-    /// recorder. An instant split by a control event closes once; its later
-    /// part is flushed with the next instant.
-    pub(crate) fn close_tick(&mut self, at: SimTime, mut sampled: impl FnMut(VersionId, f64)) {
-        if self.closed >= Some(at) {
-            return;
-        }
-        self.closed = Some(at);
-        for (&version, state) in &mut self.versions {
-            if let Some(server) = &mut state.server {
-                let percent = server.sample_utilization(at);
-                self.recorder.observe_utilization_in(state.slot, percent);
-                sampled(version, percent);
-            }
-        }
-        // Nothing samples the traffic CPUs, but without the drain the
-        // interval list grows by one entry per routed request.
-        let _ = self.cpu.sample_utilization(at);
-        self.recorder.flush(at.to_timestamp());
-    }
-}
-
-/// One attached traffic stream: its per-tick arrival schedule, the buffer
-/// each tick's arrivals are regenerated into, and the seeded RNGs for
-/// backend behaviour. What it shares with the other streams of its service
-/// is a [`ServiceState`].
-pub(crate) struct TrafficStream {
-    profile: TrafficProfile,
-    /// One entry per non-empty tick: its end, its arrival count and the
-    /// generator state before its first arrival.
-    ticks: Vec<TickCheckpoint>,
-    /// The arrivals of the tick being routed, regenerated from its
-    /// checkpoint. Reused across ticks, so it never holds more than the
-    /// largest tick.
-    arrivals: Vec<Arrival>,
-    rng: SimRng,
-    /// A separate seeded RNG for shadow service-demand draws, so the
-    /// presence or share of a dark launch never perturbs the primary
-    /// stream's jitter/error sequence — when the shadow version serves no
-    /// primary traffic, primary-visible outcomes are byte-identical with
-    /// and without shadow traffic. (If the shadow target also serves a
-    /// primary split, the shadow load still occupies the shared replicas,
-    /// so primary queueing there degrades — deliberately.)
-    shadow_rng: SimRng,
-    stats: TrafficStats,
-    /// Scratch buffer reused across ticks to build the batch's requests.
-    scratch: Vec<ProxyRequest>,
-}
-
-impl TrafficStream {
-    /// Builds a stream from its profile and the engine seed. Its arrivals
-    /// derive from the seed's `"traffic"` stream (namespaced by stream
-    /// index so two streams never replay the same sequence); one pass over
-    /// them records each non-empty tick's checkpoint and keeps no arrival.
-    pub(crate) fn new(profile: TrafficProfile, index: usize, seed: Seed) -> Self {
-        let stream_seed = seed.stream(&format!("traffic-{index}"));
-        let ticks = profile
-            .load
-            .cursor_seeded(stream_seed)
-            .ticks(profile.tick)
-            .collect();
-        Self {
-            rng: SimRng::seeded(stream_seed.stream("backends").value()),
-            shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
-            ticks,
-            arrivals: Vec::new(),
-            profile,
-            stats: TrafficStats::default(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The profile this stream was attached with.
-    pub(crate) fn profile(&self) -> &TrafficProfile {
-        &self.profile
-    }
-
-    /// The tick end times of every non-empty batch, for scheduling.
-    pub(crate) fn batch_times(&self) -> Vec<SimTime> {
-        self.ticks.iter().map(|tick| tick.end).collect()
-    }
-
-    /// The aggregate statistics so far.
-    pub(crate) fn stats(&self) -> &TrafficStats {
-        &self.stats
-    }
-
-    /// The number of arrivals in the `batch`-th tick.
-    pub(crate) fn batch_len(&self, batch: usize) -> usize {
-        self.ticks.get(batch).map_or(0, |tick| tick.count)
-    }
-
-    /// The capacity of the regenerated-arrivals buffer.
-    #[cfg(test)]
-    pub(crate) fn arrivals_capacity(&self) -> usize {
-        self.arrivals.capacity()
-    }
-
-    /// Raises the stream's peak utilisation of `version` to `percent`.
-    pub(crate) fn note_utilization(&mut self, version: VersionId, percent: f64) {
-        let peak = self.stats.peak_utilization.entry(version).or_insert(0.0);
-        *peak = peak.max(percent);
-    }
-
-    /// Regenerates the `batch`-th tick's arrivals from its checkpoint and
-    /// routes them through `proxy`, charging routing cost to the service's
-    /// shared proxy CPU, dispatching primary *and* shadow decisions into
-    /// the service's backend servers, and buffers the outcomes in the
-    /// service's recorder. The service closes the tick
-    /// ([`ServiceState::close_tick`]).
-    pub(crate) fn route_batch(
-        &mut self,
-        batch: usize,
-        proxy: &ProxyHandle,
-        service: &mut ServiceState,
-    ) {
-        let Some(tick) = self.ticks.get(batch) else {
-            return;
-        };
-        self.arrivals.clear();
-        self.arrivals.reserve_exact(tick.count);
-        self.arrivals
-            .extend(self.profile.load.resume(&tick.start).take(tick.count));
-        let arrivals = &self.arrivals;
-        self.scratch.clear();
-        self.scratch.extend(
-            arrivals
-                .iter()
-                .map(|arrival| ProxyRequest::from_user(arrival.user)),
-        );
-        // All streams of a service replay on one data-plane worker, so no
-        // other stream routes through this proxy meanwhile and the read
-        // lock is uncontended.
-        let routed = proxy.read().route_many_costed(self.scratch.iter());
-        for (arrival, (decision, cost)) in arrivals.iter().zip(&routed) {
-            let receipt = service.cpu.submit(arrival.at, *cost);
-            self.stats.proxy_busy += *cost;
-            let proxy_ms = (receipt.completed - arrival.at).as_secs_f64() * 1_000.0;
-            let primary = service.version(decision.primary);
+    /// Serves a routed tick of stream `place`: dispatches primary *and*
+    /// shadow decisions into the service's backend servers, draws jitter
+    /// and errors, and buffers the outcomes in the stream's statistics and
+    /// the service's recorder.
+    pub(crate) fn serve(&mut self, place: usize, packet: &TickPacket) {
+        let Self {
+            streams,
+            recorder,
+            versions,
+            ..
+        } = self;
+        let stream = &mut streams[place];
+        let stats = &mut stream.stats;
+        let requests = packet.arrivals.iter().zip(&packet.routed);
+        for ((arrival, (decision, cost)), &routed_at) in requests.zip(&packet.routed_at) {
+            stats.proxy_busy += *cost;
+            let proxy_ms = (routed_at - arrival.at).as_secs_f64() * 1_000.0;
+            let primary = VersionState::of(versions, recorder, decision.primary);
             let (slot, model) = (primary.slot, primary.model);
             // Service demand: the version's mean service time with a ±10%
             // deterministic jitter so latency series are not flat lines
             // (and queued servers see a demand distribution).
-            let jitter = 0.9 + 0.2 * self.rng.uniform();
+            let jitter = 0.9 + 0.2 * stream.rng.uniform();
             let (latency_ms, outcome) = match model {
                 BackendModel::Profile(profile) => (
                     proxy_ms + profile.service_time.as_secs_f64() * 1_000.0 * jitter,
@@ -579,7 +631,7 @@ impl TrafficStream {
                     let server = primary
                         .server
                         .get_or_insert_with(|| VersionBackend::new(queued));
-                    match server.dispatch(receipt.completed, queued.service_time.mul_f64(jitter)) {
+                    match server.dispatch(routed_at, queued.service_time.mul_f64(jitter)) {
                         // Shed is an immediate rejection: the caller only
                         // pays the routing latency.
                         BackendDispatch::Shed => (proxy_ms, ServeOutcome::Shed),
@@ -601,69 +653,84 @@ impl TrafficStream {
                 }
             };
             let success = match outcome {
-                ServeOutcome::Served => !draw_error(&mut self.rng, model.error_rate()),
+                ServeOutcome::Served => !draw_error(&mut stream.rng, model.error_rate()),
                 ServeOutcome::Shed | ServeOutcome::TimedOut => false,
             };
 
-            self.stats.requests += 1;
+            stats.requests += 1;
             if !success {
-                self.stats.errors += 1;
+                stats.errors += 1;
             }
             match outcome {
                 ServeOutcome::Served => {}
-                ServeOutcome::Shed => self.stats.shed += 1,
-                ServeOutcome::TimedOut => self.stats.timed_out += 1,
+                ServeOutcome::Shed => stats.shed += 1,
+                ServeOutcome::TimedOut => stats.timed_out += 1,
             }
             if outcome != ServeOutcome::Served {
-                *self
-                    .stats
-                    .shed_per_version
-                    .entry(decision.primary)
-                    .or_insert(0) += 1;
+                *stats.shed_per_version.entry(decision.primary).or_insert(0) += 1;
             }
-            *self.stats.per_version.entry(decision.primary).or_insert(0) += 1;
-            self.stats.total_latency_ms += latency_ms;
-            self.stats.latencies_ms.push(latency_ms);
-            service
-                .recorder
-                .observe_request_in(slot, latency_ms, success);
+            *stats.per_version.entry(decision.primary).or_insert(0) += 1;
+            stats.total_latency_ms += latency_ms;
+            stats.latencies_ms.push(latency_ms);
+            recorder.observe_request_in(slot, latency_ms, success);
             if outcome != ServeOutcome::Served {
-                service.recorder.observe_shed_in(slot);
+                recorder.observe_shed_in(slot);
             }
             for shadow in &decision.shadows {
-                self.stats.shadow_copies += 1;
-                *self
-                    .stats
-                    .shadow_per_version
-                    .entry(shadow.target)
-                    .or_insert(0) += 1;
+                stats.shadow_copies += 1;
+                *stats.shadow_per_version.entry(shadow.target).or_insert(0) += 1;
                 // Shadow work charges the shadow version's replicas — a
                 // dark launch visibly heats them — but its outcome never
                 // surfaces to the caller: no latency, no error. The demand
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
-                let target = service.version(shadow.target);
+                let target = VersionState::of(versions, recorder, shadow.target);
                 let slot = target.slot;
                 let shed = match target.model {
                     BackendModel::Queued(queued) => {
                         let demand = queued
                             .service_time
-                            .mul_f64(0.9 + 0.2 * self.shadow_rng.uniform());
+                            .mul_f64(0.9 + 0.2 * stream.shadow_rng.uniform());
                         let server = target
                             .server
                             .get_or_insert_with(|| VersionBackend::new(queued));
-                        server.dispatch(receipt.completed, demand) == BackendDispatch::Shed
+                        server.dispatch(routed_at, demand) == BackendDispatch::Shed
                     }
                     BackendModel::Profile(_) => false,
                 };
-                service.recorder.observe_shadow_in(slot);
+                recorder.observe_shadow_in(slot);
                 if shed {
-                    self.stats.shadow_shed += 1;
-                    service.recorder.observe_shed_in(slot);
+                    stats.shadow_shed += 1;
+                    recorder.observe_shed_in(slot);
                 }
             }
         }
-        self.stats.ticks += 1;
+        stats.ticks += 1;
+    }
+
+    /// Closes instant `at` after its last tick, whose streams are at
+    /// `places`: samples each server, raising those streams' peak
+    /// utilisation of its version, and flushes the recorder. An instant
+    /// split by a control event closes once; its later part is flushed
+    /// with the next instant.
+    pub(crate) fn close_tick(&mut self, at: SimTime, places: impl Iterator<Item = usize> + Clone) {
+        if self.closed >= Some(at) {
+            return;
+        }
+        self.closed = Some(at);
+        for (&version, state) in &mut self.versions {
+            if let Some(server) = &mut state.server {
+                let percent = server.sample_utilization(at);
+                self.recorder.observe_utilization_in(state.slot, percent);
+                for place in places.clone() {
+                    let peak = (self.streams[place].stats.peak_utilization)
+                        .entry(version)
+                        .or_insert(0.0);
+                    *peak = peak.max(percent);
+                }
+            }
+        }
+        self.recorder.flush(at.to_timestamp());
     }
 }
 
@@ -700,11 +767,18 @@ fn draw_error(rng: &mut SimRng, error_rate: f64) -> bool {
     rng.chance(normalized_error_rate(error_rate))
 }
 
-impl fmt::Debug for TrafficStream {
+impl fmt::Debug for StreamFront {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TrafficStream")
+        f.debug_struct("StreamFront")
             .field("service", &self.profile.service)
             .field("batches", &self.ticks.len())
+            .finish()
+    }
+}
+
+impl fmt::Debug for StreamBack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StreamBack")
             .field("requests", &self.stats.requests)
             .finish()
     }

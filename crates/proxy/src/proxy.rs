@@ -246,17 +246,28 @@ impl BifrostProxy {
     where
         I: IntoIterator<Item = &'a ProxyRequest>,
     {
-        let mut pass = Pass::new(self);
-        let routed = requests
-            .into_iter()
-            .map(|request| {
-                let decision = pass.route(request, None);
-                let cost = self.processing_cost(&decision);
-                (decision, cost)
-            })
-            .collect();
-        pass.finish();
+        let mut routed = Vec::new();
+        self.route_many_costed_into(requests, &mut routed);
         routed
+    }
+
+    /// [`BifrostProxy::route_many_costed`], appending the pairs to
+    /// `routed`, so a caller that routes batch after batch can reuse one
+    /// buffer.
+    pub fn route_many_costed_into<'a, I>(
+        &self,
+        requests: I,
+        routed: &mut Vec<(RoutingDecision, Duration)>,
+    ) where
+        I: IntoIterator<Item = &'a ProxyRequest>,
+    {
+        let mut pass = Pass::new(self);
+        routed.extend(requests.into_iter().map(|request| {
+            let decision = pass.route(request, None);
+            let cost = self.processing_cost(&decision);
+            (decision, cost)
+        }));
+        pass.finish();
     }
 
     /// The CPU demand of processing one request under the current
