@@ -6,7 +6,11 @@
 #     `fig9 --quick --max 160` and `traffic --quick`,
 #   * the `points` of the fig6, fig7, fig9, traffic and backends JSON
 #     reports, run with the trial counts CI uses,
-#   * a six-service `bifrost run --traffic` with a check every 2 s.
+#   * a six-service `bifrost run --traffic` with a check every 2 s,
+#   * a one-service `bifrost run --traffic` on queued backends whose runs
+#     of ticks exceed 1024 arrivals, so that on two or more CPUs its service
+#     routes on one thread and serves on another (under `taskset -c 0`, it
+#     does both on one).
 #
 # Everything here runs in virtual time, so the digests depend only on the
 # code. Lines that report wall-clock time are dropped, and the JSON keeps
@@ -97,3 +101,62 @@ strategy="$work/six-services.yml"
     done
 } >"$strategy"
 "$bifrost" run "$strategy" --verbose --traffic 100 | digest "bifrost run --traffic 100: six services"
+
+# One service at 3000 req/s on queued backends: a 10 s 20% canary that
+# checks the canary's shed requests every 2 s, a 10 s 20% dark launch, and
+# a rollout that overloads the canary's replicas.
+strategy="$work/one-service.yml"
+cat >"$strategy" <<'EOF'
+name: one-service
+engine:
+  tick: 0.1
+  cores: 64
+  backends:
+    - service: checkout
+      version: v1
+      service_time_ms: 2
+      replicas: 8
+    - service: checkout
+      version: v2
+      service_time_ms: 2
+      replicas: 5
+      queue_capacity: 8
+      timeout_ms: 40
+deployment:
+  services:
+    - service: checkout
+      versions:
+        - name: v1
+          host: 10.1.0.1
+          port: 8080
+        - name: v2
+          host: 10.1.0.2
+          port: 8080
+strategy:
+  phases:
+    - phase: canary
+      name: canary
+      service: checkout
+      stable: v1
+      candidate: v2
+      traffic: 20
+      duration: 10
+      checks:
+        - metric:
+            name: v2-shed
+            provider: prometheus
+            query: 'requests_shed_total{service="checkout",version="v2"}'
+            aggregation: rate
+            window: 5
+            intervalTime: 2
+            intervalLimit: 5
+            validator: "<1000000"
+    - phase: dark_launch
+      name: dark
+      service: checkout
+      from: v1
+      to: v2
+      traffic: 20
+      duration: 10
+EOF
+"$bifrost" run "$strategy" --verbose --traffic 3000 | digest "bifrost run --traffic 3000: one service"
