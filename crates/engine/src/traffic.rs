@@ -493,11 +493,11 @@ impl ServiceFront {
         stream
             .scratch
             .extend((packet.arrivals.iter()).map(|arrival| ProxyRequest::from_user(arrival.user)));
+        packet.routed.clear();
+        packet.routed.reserve_exact(tick.count);
         // A service's routing stage runs on one thread, so no other stream
         // routes through this proxy meanwhile and the read lock is
         // uncontended.
-        packet.routed.clear();
-        packet.routed.reserve_exact(tick.count);
         (proxy.read()).route_many_costed_into(stream.scratch.iter(), &mut packet.routed);
         packet.routed_at.clear();
         packet.routed_at.reserve_exact(tick.count);
