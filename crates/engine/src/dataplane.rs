@@ -5,7 +5,7 @@
 //! hands it to [`DataPlane::step`] before it handles the next control
 //! event (see [`crate::traffic`] for why that preserves the serial
 //! semantics). The service is the only partition. Each service owns its
-//! streams, its proxy-VM CPU, its version table and the recorder of its one
+//! streams, its proxy-VM cores, its version table and the recorder of its one
 //! `service` label, and a label names one service. A service's ticks
 //! touch only what it owns and its own proxy, and they write only its own
 //! metric series, so services replay on separate workers, each in queue
@@ -24,6 +24,7 @@ use crate::traffic::{ServiceBack, ServiceFront, TickPacket, TrafficStats, Traffi
 use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_metrics::SharedMetricStore;
 use bifrost_simnet::SimTime;
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::{Mutex, OnceLock};
 
@@ -45,8 +46,13 @@ const PIPELINE_DEPTH: usize = 2;
 /// The engine's traffic state, one partition per service.
 #[derive(Debug, Default)]
 pub(crate) struct DataPlane {
-    /// One entry per service carrying traffic, in first-attach order.
+    /// One entry per service carrying traffic, in first-attach order, the
+    /// order a run replays them in.
     services: Vec<ServicePlane>,
+    /// Each service's entry in `services`.
+    by_service: HashMap<ServiceId, usize>,
+    /// The `service` label each entry records under.
+    by_label: HashMap<String, usize>,
     /// Each stream's service entry and its place among that entry's
     /// streams, by attach index.
     streams: Vec<(usize, usize)>,
@@ -75,15 +81,15 @@ struct ServicePlane {
 
 impl DataPlane {
     /// Adds a stream and returns its index. The first stream of a service
-    /// sizes the service's proxy-VM CPU and names its `service` label; a
+    /// sizes the service's proxy-VM cores and names its `service` label; a
     /// later stream registers only the versions the service has no entry
     /// for yet. Panics on a label that breaks the rule of one label per
     /// service (see [`crate::BifrostEngine::attach_traffic`]).
     pub(crate) fn attach(&mut self, stream: TrafficStream, store: SharedMetricStore) -> usize {
         let profile = stream.front.profile();
         let (service, label) = (profile.service(), profile.service_label());
-        let entry = match self.services.iter().position(|p| p.service == service) {
-            Some(entry) => {
+        let entry = match self.by_service.get(&service) {
+            Some(&entry) => {
                 let back = &mut self.services[entry].back;
                 assert!(
                     back.label() == label,
@@ -94,12 +100,15 @@ impl DataPlane {
                 entry
             }
             None => {
-                if let Some(other) = self.services.iter().find(|p| p.back.label() == label) {
+                if let Some(&other) = self.by_label.get(label) {
                     panic!(
                         "the label `{label}` already names service {}",
-                        other.service
+                        self.services[other].service
                     );
                 }
+                let entry = self.services.len();
+                self.by_service.insert(service, entry);
+                self.by_label.insert(label.to_string(), entry);
                 self.services.push(ServicePlane {
                     service,
                     front: ServiceFront::new(profile),
@@ -107,7 +116,7 @@ impl DataPlane {
                     packets: Vec::new(),
                     ticks: Vec::new(),
                 });
-                self.services.len() - 1
+                entry
             }
         };
         let plane = &mut self.services[entry];
@@ -134,8 +143,8 @@ impl DataPlane {
         service: ServiceId,
         version: VersionId,
     ) -> Option<&VersionBackend> {
-        let plane = self.services.iter().find(|p| p.service == service)?;
-        plane.back.server(version)
+        let &entry = self.by_service.get(&service)?;
+        self.services[entry].back.server(version)
     }
 
     /// The workers a run of `requests` arrivals may use: the host's
@@ -209,12 +218,11 @@ impl ServicePlane {
     /// `pipelined`. A service with no registered proxy skips them (like
     /// rules for unregistered services).
     ///
-    /// Either way the routing stage routes each tick and then closes each
-    /// instant, and the serving stage serves each tick and then closes each
-    /// instant, both in queue order. Routing reads nothing the serving
-    /// stage writes, and a run holds no configuration push, so where the
-    /// serving stage stands while a tick is routed cannot change the
-    /// outcome.
+    /// Either way the routing stage routes each tick, and the serving stage
+    /// serves each tick and then closes each instant, both in queue order.
+    /// Routing reads nothing the serving stage writes, and a run holds no
+    /// configuration push, so where the serving stage stands while a tick
+    /// is routed cannot change the outcome.
     fn replay(&mut self, proxies: &ProxyFleet, pipelined: bool) {
         if let Some(proxy) = proxies.handle(self.service) {
             if pipelined {
@@ -227,7 +235,6 @@ impl ServicePlane {
                         self.front.route(place, batch, &proxy, &mut packet);
                         self.back.serve(place, &packet);
                     }
-                    self.front.close_tick(at);
                     self.back.close_tick(at, instant.iter().map(|tick| tick.0));
                 }
                 self.packets.push(packet);
@@ -252,20 +259,17 @@ impl ServicePlane {
         let (to_front, served) = channel();
         std::thread::scope(|scope| {
             scope.spawn(move || serve_run(back, ticks, routed, to_front));
-            for instant in instants(ticks) {
-                for &(place, batch, _) in instant {
-                    let mut packet = served
-                        .try_recv()
-                        .ok()
-                        .or_else(|| packets.pop())
-                        .unwrap_or_default();
-                    front.route(place, batch, proxy, &mut packet);
-                    if to_back.send(packet).is_err() {
-                        // The serving stage panicked; the scope rethrows.
-                        return;
-                    }
+            for &(place, batch, _) in ticks {
+                let mut packet = served
+                    .try_recv()
+                    .ok()
+                    .or_else(|| packets.pop())
+                    .unwrap_or_default();
+                front.route(place, batch, proxy, &mut packet);
+                if to_back.send(packet).is_err() {
+                    // The serving stage panicked; the scope rethrows.
+                    return;
                 }
-                front.close_tick(instant[0].2);
             }
         });
         packets.extend(served.try_iter());

@@ -16,13 +16,16 @@
 //! [`bifrost_workload::ArrivalPlan::batches`] over the same seed. Any tick
 //! regenerates on its own, so generation runs on the data plane's workers
 //! and skipped ticks (a service with no proxy yet) leave later ticks
-//! unchanged. Each tick routes its batch through the service's proxy in
-//! one pass ([`bifrost_proxy::BifrostProxy::route_many_costed`], the
-//! compiled-config hot path), charges every request's routing cost to the
-//! proxy's own CPU, models the serving version's backend latency and error
-//! rate, and buffers the observed outcomes in its service's
+//! unchanged. Each tick routes its arrivals' user ids through the service's
+//! proxy in one pass ([`bifrost_proxy::BifrostProxy::route_users_costed_into`],
+//! the compiled-config hot path, which builds no request), charges every
+//! request's routing cost to the cores of the proxy's own VM, models the
+//! serving version's backend latency and error rate, and buffers the
+//! observed outcomes in its service's
 //! [`bifrost_metrics::TrafficSeriesRecorder`] — so checks evaluate traffic
-//! the proxies actually routed instead of hand-injected samples.
+//! the proxies actually routed instead of hand-injected samples. Nothing
+//! samples the proxy VM's utilisation, so it is a bare
+//! [`bifrost_simnet::CoreHeap`] that logs no busy intervals.
 //!
 //! Ticks are the engine's data plane. The engine collects consecutive
 //! `TrafficTick` events into a run and replays it before it handles the
@@ -31,11 +34,14 @@
 //! events and touches no engine CPU, event log or strategy state, and each
 //! control event still sees every tick queued before it, so this equals
 //! handling each event as it is popped. A run is split by service. Each
-//! service owns its streams, its proxy-VM CPU, one recorder and one entry
+//! service owns its streams, its proxy-VM cores, one recorder and one entry
 //! per version, and replays its ticks in queue order in two stages: a
 //! routing stage (`ServiceFront`: regenerate, route, charge the proxy
-//! CPU) and a serving stage (`ServiceBack`: backend draws and dispatch,
-//! statistics, recorder). Each stream is split the same way
+//! cores) and a serving stage (`ServiceBack`: backend draws and dispatch,
+//! statistics, recorder). The serving stage resolves a decision's version
+//! entry once per run of requests with the same primary version and
+//! folds its per-version counts into the stream's statistics once per
+//! tick. Each stream is split the same way
 //! (`StreamFront`, `StreamBack`), and a routed tick passes between the
 //! stages as a `TickPacket`. Routing reads nothing the serving stage
 //! writes, so the stages may run on two threads (see the `dataplane`
@@ -56,8 +62,8 @@ use bifrost_core::ids::{ServiceId, VersionId};
 use bifrost_core::seed::Seed;
 use bifrost_metrics::traffic::VersionSlot;
 use bifrost_metrics::{SharedMetricStore, TrafficSeriesRecorder};
-use bifrost_proxy::{ProxyRequest, RoutingDecision};
-use bifrost_simnet::{CpuResource, SimRng, SimTime};
+use bifrost_proxy::RoutingDecision;
+use bifrost_simnet::{CoreHeap, SimRng, SimTime};
 use bifrost_workload::{Arrival, LoadProfile, TickCheckpoint};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -366,11 +372,7 @@ impl TrafficStream {
             .ticks(profile.tick)
             .collect();
         Self {
-            front: StreamFront {
-                profile,
-                ticks,
-                scratch: Vec::new(),
-            },
+            front: StreamFront { profile, ticks },
             back: StreamBack {
                 rng: SimRng::seeded(stream_seed.stream("backends").value()),
                 shadow_rng: SimRng::seeded(stream_seed.stream("shadow-backends").value()),
@@ -380,15 +382,13 @@ impl TrafficStream {
     }
 }
 
-/// The routing half of a stream: its profile, its per-tick arrival
-/// schedule and the buffer each tick's requests are built in.
+/// The routing half of a stream: its profile and its per-tick arrival
+/// schedule.
 pub(crate) struct StreamFront {
     profile: TrafficProfile,
     /// One entry per non-empty tick: its end, its arrival count and the
     /// generator state before its first arrival.
     ticks: Vec<TickCheckpoint>,
-    /// Scratch buffer reused across ticks to build the batch's requests.
-    scratch: Vec<ProxyRequest>,
 }
 
 impl StreamFront {
@@ -454,12 +454,12 @@ impl TickPacket {
 }
 
 /// The routing stage of a service: its streams' routing halves and the
-/// proxy VM's CPU, which concurrent streams through the same proxy
+/// proxy VM's cores, which concurrent streams through the same proxy
 /// contend for.
 #[derive(Debug)]
 pub(crate) struct ServiceFront {
     pub(crate) streams: Vec<StreamFront>,
-    cpu: CpuResource,
+    cores: CoreHeap,
 }
 
 impl ServiceFront {
@@ -468,13 +468,13 @@ impl ServiceFront {
     pub(crate) fn new(profile: &TrafficProfile) -> Self {
         Self {
             streams: Vec::new(),
-            cpu: CpuResource::new(profile.cores),
+            cores: CoreHeap::new(profile.cores),
         }
     }
 
     /// Regenerates the `batch`-th tick of stream `place` from its
-    /// checkpoint into `packet`, routes it through `proxy` in one pass and
-    /// charges each request's routing cost to the proxy CPU.
+    /// checkpoint into `packet`, routes its user ids through `proxy` in one
+    /// pass and charges each request's routing cost to the proxy's cores.
     pub(crate) fn route(
         &mut self,
         place: usize,
@@ -489,29 +489,19 @@ impl ServiceFront {
         packet
             .arrivals
             .extend(stream.profile.load.resume(&tick.start).take(tick.count));
-        stream.scratch.clear();
-        stream
-            .scratch
-            .extend((packet.arrivals.iter()).map(|arrival| ProxyRequest::from_user(arrival.user)));
         packet.routed.clear();
         packet.routed.reserve_exact(tick.count);
+        let users = packet.arrivals.iter().map(|arrival| arrival.user);
         // A service's routing stage runs on one thread, so no other stream
         // routes through this proxy meanwhile and the read lock is
         // uncontended.
-        (proxy.read()).route_many_costed_into(stream.scratch.iter(), &mut packet.routed);
+        (proxy.read()).route_users_costed_into(users, &mut packet.routed);
         packet.routed_at.clear();
         packet.routed_at.reserve_exact(tick.count);
         let charged = packet.arrivals.iter().zip(&packet.routed);
         packet.routed_at.extend(
-            charged.map(|(arrival, (_, cost))| self.cpu.submit(arrival.at, *cost).completed),
+            charged.map(|(arrival, (_, cost))| self.cores.submit(arrival.at, *cost).completed),
         );
-    }
-
-    /// Closes instant `at` after its last tick. Nothing samples the proxy
-    /// CPU, but without the drain its interval list grows by one entry per
-    /// routed request.
-    pub(crate) fn close_tick(&mut self, at: SimTime) {
-        let _ = self.cpu.sample_utilization(at);
     }
 }
 
@@ -522,7 +512,7 @@ impl ServiceFront {
 pub(crate) struct ServiceBack {
     pub(crate) streams: Vec<StreamBack>,
     recorder: TrafficSeriesRecorder,
-    versions: BTreeMap<VersionId, VersionState>,
+    versions: VersionTable,
     /// The last instant closed: an instant closes at most once.
     closed: Option<SimTime>,
 }
@@ -536,19 +526,84 @@ struct VersionState {
     server: Option<VersionBackend>,
 }
 
-impl VersionState {
-    /// The entry of `version` in `versions`, adding a version no profile
-    /// named under its id rendering and the default model.
-    fn of<'a>(
-        versions: &'a mut BTreeMap<VersionId, VersionState>,
+/// What one version saw in the tick being served, folded into the
+/// stream's statistics when the tick ends.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickCounts {
+    primaries: u64,
+    /// Primary requests shed or timed out.
+    shed: u64,
+    shadows: u64,
+}
+
+/// A service's versions: one entry each, in first-sight order, found by id
+/// or, on the serving path, kept by index.
+#[derive(Debug, Default)]
+struct VersionTable {
+    /// Each version's index into `entries` and `counts`.
+    by_id: BTreeMap<VersionId, usize>,
+    entries: Vec<VersionState>,
+    counts: Vec<TickCounts>,
+}
+
+impl VersionTable {
+    fn insert(&mut self, version: VersionId, state: VersionState) -> usize {
+        let index = self.entries.len();
+        self.by_id.insert(version, index);
+        self.entries.push(state);
+        self.counts.push(TickCounts::default());
+        index
+    }
+
+    /// The index of `version`, adding a version no profile named under its
+    /// id rendering and the default model.
+    fn index(&mut self, recorder: &mut TrafficSeriesRecorder, version: VersionId) -> usize {
+        match self.by_id.get(&version) {
+            Some(&index) => index,
+            None => {
+                let state = VersionState {
+                    slot: recorder.slot(&version.to_string()),
+                    model: BackendModel::Profile(BackendProfile::default()),
+                    server: None,
+                };
+                self.insert(version, state)
+            }
+        }
+    }
+
+    /// [`Self::index`] through `last`, the version and index of the
+    /// previous call: a run of requests for one version looks it up once.
+    fn index_after(
+        &mut self,
+        last: &mut Option<(VersionId, usize)>,
         recorder: &mut TrafficSeriesRecorder,
         version: VersionId,
-    ) -> &'a mut VersionState {
-        versions.entry(version).or_insert_with(|| VersionState {
-            slot: recorder.slot(&version.to_string()),
-            model: BackendModel::Profile(BackendProfile::default()),
-            server: None,
-        })
+    ) -> usize {
+        match *last {
+            Some((seen, index)) if seen == version => index,
+            _ => {
+                let index = self.index(recorder, version);
+                *last = Some((version, index));
+                index
+            }
+        }
+    }
+
+    /// Adds the tick's counts to `stats` and clears them.
+    fn fold(&mut self, stats: &mut TrafficStats) {
+        for (&version, &index) in &self.by_id {
+            let counts = std::mem::take(&mut self.counts[index]);
+            let tallies = [
+                (&mut stats.per_version, counts.primaries),
+                (&mut stats.shed_per_version, counts.shed),
+                (&mut stats.shadow_per_version, counts.shadows),
+            ];
+            for (tally, count) in tallies {
+                if count > 0 {
+                    *tally.entry(version).or_insert(0) += count;
+                }
+            }
+        }
     }
 }
 
@@ -559,7 +614,7 @@ impl ServiceBack {
         let mut back = Self {
             streams: Vec::new(),
             recorder: TrafficSeriesRecorder::new(store, profile.service_label.clone()),
-            versions: BTreeMap::new(),
+            versions: VersionTable::default(),
             closed: None,
         };
         back.register(profile);
@@ -574,7 +629,7 @@ impl ServiceBack {
         let new: Vec<_> = profile
             .versions
             .iter()
-            .filter(|(version, _)| !self.versions.contains_key(version))
+            .filter(|(version, _)| !self.versions.by_id.contains_key(version))
             .collect();
         let labels = new.iter().map(|(_, (label, _))| label.as_str());
         self.recorder
@@ -596,7 +651,8 @@ impl ServiceBack {
 
     /// The running backend server of `version`, if any.
     pub(crate) fn server(&self, version: VersionId) -> Option<&VersionBackend> {
-        self.versions.get(&version)?.server.as_ref()
+        let &index = self.versions.by_id.get(&version)?;
+        self.versions.entries[index].server.as_ref()
     }
 
     /// Serves a routed tick of stream `place`: dispatches primary *and*
@@ -612,11 +668,13 @@ impl ServiceBack {
         } = self;
         let stream = &mut streams[place];
         let stats = &mut stream.stats;
+        let (mut last_primary, mut last_shadow) = (None, None);
         let requests = packet.arrivals.iter().zip(&packet.routed);
         for ((arrival, (decision, cost)), &routed_at) in requests.zip(&packet.routed_at) {
             stats.proxy_busy += *cost;
             let proxy_ms = (routed_at - arrival.at).as_secs_f64() * 1_000.0;
-            let primary = VersionState::of(versions, recorder, decision.primary);
+            let index = versions.index_after(&mut last_primary, recorder, decision.primary);
+            let primary = &mut versions.entries[index];
             let (slot, model) = (primary.slot, primary.model);
             // Service demand: the version's mean service time with a ±10%
             // deterministic jitter so latency series are not flat lines
@@ -666,10 +724,11 @@ impl ServiceBack {
                 ServeOutcome::Shed => stats.shed += 1,
                 ServeOutcome::TimedOut => stats.timed_out += 1,
             }
+            let counts = &mut versions.counts[index];
+            counts.primaries += 1;
             if outcome != ServeOutcome::Served {
-                *stats.shed_per_version.entry(decision.primary).or_insert(0) += 1;
+                counts.shed += 1;
             }
-            *stats.per_version.entry(decision.primary).or_insert(0) += 1;
             stats.total_latency_ms += latency_ms;
             stats.latencies_ms.push(latency_ms);
             recorder.observe_request_in(slot, latency_ms, success);
@@ -678,13 +737,14 @@ impl ServiceBack {
             }
             for shadow in &decision.shadows {
                 stats.shadow_copies += 1;
-                *stats.shadow_per_version.entry(shadow.target).or_insert(0) += 1;
                 // Shadow work charges the shadow version's replicas — a
                 // dark launch visibly heats them — but its outcome never
                 // surfaces to the caller: no latency, no error. The demand
                 // draw comes from the dedicated shadow RNG so the primary
                 // sequence is independent of the dark-launch share.
-                let target = VersionState::of(versions, recorder, shadow.target);
+                let index = versions.index_after(&mut last_shadow, recorder, shadow.target);
+                versions.counts[index].shadows += 1;
+                let target = &mut versions.entries[index];
                 let slot = target.slot;
                 let shed = match target.model {
                     BackendModel::Queued(queued) => {
@@ -705,6 +765,7 @@ impl ServiceBack {
                 }
             }
         }
+        versions.fold(stats);
         stats.ticks += 1;
     }
 
@@ -718,7 +779,8 @@ impl ServiceBack {
             return;
         }
         self.closed = Some(at);
-        for (&version, state) in &mut self.versions {
+        for (&version, &index) in &self.versions.by_id {
+            let state = &mut self.versions.entries[index];
             if let Some(server) = &mut state.server {
                 let percent = server.sample_utilization(at);
                 self.recorder.observe_utilization_in(state.slot, percent);

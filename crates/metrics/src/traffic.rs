@@ -33,7 +33,7 @@
 //! compares and clones no strings.
 
 use crate::sample::{Sample, SeriesKey, TimestampMs};
-use crate::stats::{nearest_rank, sample_order};
+use crate::stats::nearest_rank;
 use crate::store::{MetricStore, SeriesId, SharedMetricStore};
 
 /// Cumulative counter for requests routed to one version.
@@ -75,8 +75,9 @@ struct WindowAccumulator {
     shadows: u64,
     shed: u64,
     latency_ms_sum: f64,
-    /// Every latency of the window, for the per-tick quantile gauges.
-    latencies_ms: Vec<f64>,
+    /// Every latency of the window as its [`order_key`], for the per-tick
+    /// quantile gauges.
+    latency_keys: Vec<u64>,
     /// The latest backend utilisation (percent) of the window.
     utilization: Option<f64>,
 }
@@ -109,13 +110,13 @@ impl VersionSeries {
             (window.shadows > 0).then_some(window.shadows),
             (window.shed > 0).then_some(window.shed),
         ];
-        let (p50, p95) = window_quantiles(&mut window.latencies_ms).unzip();
+        let (p50, p95) = window_quantiles(&mut window.latency_keys).unzip();
         let mean = (window.requests > 0).then(|| window.latency_ms_sum / window.requests as f64);
         let gauges = [mean, p50, p95, window.utilization];
-        let mut latencies_ms = std::mem::take(&mut window.latencies_ms);
-        latencies_ms.clear();
+        let mut latency_keys = std::mem::take(&mut window.latency_keys);
+        latency_keys.clear();
         *window = WindowAccumulator {
-            latencies_ms,
+            latency_keys,
             ..WindowAccumulator::default()
         };
 
@@ -230,7 +231,7 @@ impl TrafficSeriesRecorder {
         let window = &mut self.versions[slot.0].window;
         window.requests += 1;
         window.latency_ms_sum += latency_ms;
-        window.latencies_ms.push(latency_ms);
+        window.latency_keys.push(order_key(latency_ms));
         if !success {
             window.errors += 1;
         }
@@ -304,23 +305,46 @@ impl TrafficSeriesRecorder {
     }
 }
 
-/// The p50 and p95 of a window's latencies, equal to those of
-/// [`crate::DistributionSummary::compute`]: p95 is selected in place, then
-/// p50 among the values at or below it, instead of sorting the window.
-/// `None` for an empty window.
-fn window_quantiles(latencies_ms: &mut [f64]) -> Option<(f64, f64)> {
-    if latencies_ms.is_empty() {
+/// The sign bit of an `f64`.
+const SIGN: u64 = 1 << 63;
+
+/// A key whose integer order is the numeric order of `value`: a value with
+/// the sign bit clear maps to its bits with the sign bit set, and one with
+/// the sign bit set to its bits inverted. Unlike the float comparison it
+/// orders `-0.0` before `0.0`. Panics on `NaN`, like the order every
+/// percentile here sorts by.
+fn order_key(value: f64) -> u64 {
+    assert!(!value.is_nan(), "finite values");
+    let bits = value.to_bits();
+    if bits & SIGN == 0 {
+        bits | SIGN
+    } else {
+        !bits
+    }
+}
+
+/// The value whose [`order_key`] is `key`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key & SIGN != 0 { key & !SIGN } else { !key })
+}
+
+/// The p50 and p95 of a window's latencies, given as order keys, equal to
+/// those of [`crate::DistributionSummary::compute`]: p95 is selected in
+/// place, then p50 among the keys at or below it, instead of sorting the
+/// window. `None` for an empty window.
+fn window_quantiles(latency_keys: &mut [u64]) -> Option<(f64, f64)> {
+    if latency_keys.is_empty() {
         return None;
     }
-    let len = latencies_ms.len();
+    let len = latency_keys.len();
     let (p50_rank, p95_rank) = (nearest_rank(len, 50.0), nearest_rank(len, 95.0));
-    let (below, &mut p95, _) = latencies_ms.select_nth_unstable_by(p95_rank, sample_order);
+    let (below, &mut p95, _) = latency_keys.select_nth_unstable(p95_rank);
     let p50 = if p50_rank == p95_rank {
         p95
     } else {
-        *below.select_nth_unstable_by(p50_rank, sample_order).1
+        *below.select_nth_unstable(p50_rank).1
     };
-    Some((p50, p95))
+    Some((from_order_key(p50), from_order_key(p95)))
 }
 
 #[cfg(test)]
@@ -405,10 +429,14 @@ mod tests {
         let mut recorder = TrafficSeriesRecorder::new(store.clone(), "search");
         for (second, &len) in (1..).zip(&lengths) {
             // Every other window draws from 16 values, so it is full of
-            // duplicates.
+            // duplicates; every third also holds zeros, subnormals and
+            // values above 1e300.
             let window: Vec<f64> = (0..len)
-                .map(|_| match second % 2 {
-                    0 => (next() % 16) as f64 * 2.5,
+                .map(|i| match (second % 3, i % 4) {
+                    (0, 0) => 0.0,
+                    (0, 1) => f64::from_bits(1 + next() % ((1 << 52) - 1)),
+                    (0, 2) => 1e300 * (1.0 + (next() % 1_000) as f64),
+                    _ if second % 2 == 0 => (next() % 16) as f64 * 2.5,
                     _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 400.0,
                 })
                 .collect();

@@ -15,18 +15,25 @@
 //! 3. Every applicable dark-launch rule adds a shadow copy of the request
 //!    with the configured probability.
 //!
-//! Every routing call, one request ([`BifrostProxy::route`]) or a tick's
-//! batch ([`BifrostProxy::route_many_costed`]), is one pass over its
-//! requests in arrival order. The pass locks the token generator when it
-//! mints its first token and holds it to the end of the call. It buffers
-//! the sticky bindings it makes and applies them at the end, grouped by
-//! session shard, taking one lock per touched shard; a session lookup
-//! applies the buffer first, so every request sees the bindings made by the
-//! requests before it. Its statistics are tallied locally and merged into
-//! the proxy's once. A batch therefore routes exactly as its requests would
-//! one by one, at any shard count. Routing takes `&self`, so concurrent
-//! callers contend only on the shards they touch, the token generator and
-//! one statistics merge per call.
+//! Every routing call, one request ([`BifrostProxy::route`]), a batch of
+//! requests ([`BifrostProxy::route_many_costed`]) or a batch of bare user
+//! ids ([`BifrostProxy::route_users_costed_into`], the traffic data plane's
+//! hot path), is one pass over its clients in arrival order. A pass reads
+//! each client once into a small view (user id, session token, group
+//! header), so a user id routes without a request being built and a cookie
+//! is parsed once; both kinds of call then share one decision path. The
+//! pass locks the token generator when it mints its first token and holds
+//! it to the end of the call. It buffers the sticky bindings it makes and
+//! applies them at the end, grouped by session shard, taking one lock per
+//! touched shard; a session lookup applies the buffer first, so every
+//! request sees the bindings made by the requests before it. Its counters
+//! are tallied locally, per version in a small vector, and merged into the
+//! proxy's statistics once. A batch therefore routes exactly as its
+//! requests would one by one, at any shard count. Routing takes `&self`, so
+//! concurrent callers contend only on the shards they touch, the token
+//! generator and one statistics merge per call. A request's CPU cost is
+//! read from a table the configuration push computed, one entry per shadow
+//! count.
 
 use crate::config::{ProxyConfig, ProxyRule};
 use crate::overhead::OverheadModel;
@@ -43,10 +50,9 @@ use std::time::Duration;
 
 /// Counters describing what a proxy has done so far.
 ///
-/// Each routing call tallies its own counters and merges them into the
-/// proxy's once ([`ProxyStats::merge`]); every aggregate is a sum or a
-/// `BTreeMap`-keyed tally, so the totals do not depend on how requests were
-/// split into calls.
+/// Each routing call tallies its own counters and adds them to the proxy's
+/// once; every aggregate is a sum or a `BTreeMap`-keyed tally, so the
+/// totals do not depend on how requests were split into calls.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProxyStats {
     /// Total requests routed.
@@ -59,31 +65,6 @@ pub struct ProxyStats {
     pub config_updates: u64,
     /// Requests answered from the sticky-session table.
     pub sticky_hits: u64,
-}
-
-impl ProxyStats {
-    /// Folds one routing decision into the counters.
-    fn tally(&mut self, decision: &RoutingDecision) {
-        self.requests += 1;
-        self.shadow_copies += decision.shadows.len() as u64;
-        *self.per_version.entry(decision.primary).or_insert(0) += 1;
-        if decision.from_sticky_session {
-            self.sticky_hits += 1;
-        }
-    }
-
-    /// Folds another set of counters into this one. Per-version counters
-    /// aggregate into the same `BTreeMap` (`VersionId`-ordered) whatever
-    /// order the sets are merged in.
-    pub fn merge(&mut self, other: &ProxyStats) {
-        self.requests += other.requests;
-        self.shadow_copies += other.shadow_copies;
-        self.config_updates += other.config_updates;
-        self.sticky_hits += other.sticky_hits;
-        for (version, count) in &other.per_version {
-            *self.per_version.entry(*version).or_insert(0) += count;
-        }
-    }
 }
 
 /// The split rule of a configuration, pre-resolved for the per-request hot
@@ -101,16 +82,19 @@ struct CompiledSplit {
 
 /// A [`ProxyConfig`] compiled once per configuration push, so routing a
 /// request — and especially routing a *batch* of requests — performs no
-/// per-request config lookups.
+/// per-request config lookups or cost arithmetic.
 #[derive(Debug, Clone)]
 struct CompiledRules {
     default_version: VersionId,
     split: Option<CompiledSplit>,
     shadows: Vec<DarkLaunchRoute>,
+    /// The CPU cost of a request with `k` shadow copies, at index `k`, for
+    /// every `k` the shadow rules can produce.
+    costs: Vec<Duration>,
 }
 
 impl CompiledRules {
-    fn compile(config: &ProxyConfig) -> Self {
+    fn compile(config: &ProxyConfig, overhead: &OverheadModel) -> Self {
         let split = config.split_rule().and_then(|rule| match rule {
             ProxyRule::Split {
                 split,
@@ -132,11 +116,61 @@ impl CompiledRules {
                 ProxyRule::Shadow { route } => Some(*route),
                 ProxyRule::Split { .. } => None,
             })
+            .collect::<Vec<_>>();
+        let costs = (0..=shadows.len())
+            .map(|copies| request_cost(config, split.as_ref(), overhead, copies))
             .collect();
         Self {
             default_version: config.default_version(),
             split,
             shadows,
+            costs,
+        }
+    }
+}
+
+/// The CPU cost of a request with `shadow_copies` copies under `config`,
+/// whose split rule compiles to `split`: a passthrough when no rule is
+/// installed.
+fn request_cost(
+    config: &ProxyConfig,
+    split: Option<&CompiledSplit>,
+    overhead: &OverheadModel,
+    shadow_copies: usize,
+) -> Duration {
+    if config.rules().is_empty() {
+        return overhead.passthrough_cost();
+    }
+    let (mode, sticky) = match split {
+        Some(rule) => (rule.mode, rule.sticky),
+        None => (RoutingMode::CookieBased, false),
+    };
+    overhead.request_cost(mode, sticky, shadow_copies)
+}
+
+/// What routing reads of one client: its user id, its session token
+/// (parsed once) and its routing-group header.
+#[derive(Debug, Clone, Copy, Default)]
+struct Client<'r> {
+    user: Option<UserId>,
+    token: Option<SessionToken>,
+    group: Option<&'r str>,
+}
+
+impl<'r> Client<'r> {
+    fn of(request: &'r ProxyRequest) -> Self {
+        Self {
+            user: request.user,
+            token: request.session_token(),
+            group: request.group_header(),
+        }
+    }
+
+    /// The client of [`ProxyRequest::from_user`]: no cookie, no header.
+    fn user(user: UserId) -> Self {
+        Self {
+            user: Some(user),
+            ..Self::default()
         }
     }
 }
@@ -159,13 +193,14 @@ impl BifrostProxy {
     pub fn new(name: impl Into<String>, config: ProxyConfig) -> Self {
         let name = name.into();
         let seed = hash::fnv1a(name.as_bytes());
+        let overhead = OverheadModel::default();
         Self {
             name,
-            compiled: CompiledRules::compile(&config),
+            compiled: CompiledRules::compile(&config, &overhead),
             config,
             sessions: SessionStore::new(),
             tokens: Mutex::new(TokenGenerator::seeded(seed)),
-            overhead: OverheadModel::default(),
+            overhead,
             stats: Mutex::default(),
         }
     }
@@ -201,7 +236,7 @@ impl BifrostProxy {
     /// bindings are cleared because the new state defines new buckets.
     pub fn apply_config(&mut self, config: ProxyConfig) {
         self.sessions.clear();
-        self.compiled = CompiledRules::compile(&config);
+        self.compiled = CompiledRules::compile(&config, &self.overhead);
         self.config = config;
         self.stats.get_mut().config_updates += 1;
     }
@@ -221,7 +256,7 @@ impl BifrostProxy {
     /// selectors can match.
     pub fn route_user(&self, request: &ProxyRequest, user: Option<&User>) -> RoutingDecision {
         let mut pass = Pass::new(self);
-        let decision = pass.route(request, user);
+        let decision = pass.route(Client::of(request), user);
         pass.finish();
         decision
     }
@@ -236,8 +271,7 @@ impl BifrostProxy {
     }
 
     /// Routes a batch of requests through the compiled configuration and
-    /// returns one `(decision, CPU cost)` pair per request, in order — the
-    /// hot path of the request-level traffic simulation.
+    /// returns one `(decision, CPU cost)` pair per request, in order.
     ///
     /// The batch is one routing pass in arrival order, so its decisions,
     /// tokens, bindings and statistics are exactly those of routing its
@@ -261,9 +295,34 @@ impl BifrostProxy {
     ) where
         I: IntoIterator<Item = &'a ProxyRequest>,
     {
+        self.route_clients_costed_into(requests.into_iter().map(Client::of), routed);
+    }
+
+    /// Routes a batch of authenticated users, each as
+    /// [`ProxyRequest::from_user`] would, appending one `(decision, CPU
+    /// cost)` pair per user to `routed`, in order — the hot path of the
+    /// request-level traffic simulation, which builds no request. Decides,
+    /// mints, binds and counts exactly as
+    /// [`BifrostProxy::route_many_costed_into`] over those requests.
+    pub fn route_users_costed_into<I>(
+        &self,
+        users: I,
+        routed: &mut Vec<(RoutingDecision, Duration)>,
+    ) where
+        I: IntoIterator<Item = UserId>,
+    {
+        self.route_clients_costed_into(users.into_iter().map(Client::user), routed);
+    }
+
+    /// One routing pass over `clients`, in order.
+    fn route_clients_costed_into<'r>(
+        &self,
+        clients: impl Iterator<Item = Client<'r>>,
+        routed: &mut Vec<(RoutingDecision, Duration)>,
+    ) {
         let mut pass = Pass::new(self);
-        routed.extend(requests.into_iter().map(|request| {
-            let decision = pass.route(request, None);
+        routed.extend(clients.map(|client| {
+            let decision = pass.route(client, None);
             let cost = self.processing_cost(&decision);
             (decision, cost)
         }));
@@ -271,17 +330,21 @@ impl BifrostProxy {
     }
 
     /// The CPU demand of processing one request under the current
-    /// configuration, given the routing decision produced for it.
+    /// configuration, given the routing decision produced for it: the
+    /// configuration's precomputed cost for its shadow count.
     pub fn processing_cost(&self, decision: &RoutingDecision) -> Duration {
-        if !self.is_active() {
-            return self.overhead.passthrough_cost();
+        let copies = decision.shadows.len();
+        match self.compiled.costs.get(copies) {
+            Some(&cost) => cost,
+            // A decision with more copies than the rules produce (one made
+            // under another configuration).
+            None => request_cost(
+                &self.config,
+                self.compiled.split.as_ref(),
+                &self.overhead,
+                copies,
+            ),
         }
-        let (mode, sticky) = match &self.compiled.split {
-            Some(rule) => (rule.mode, rule.sticky),
-            None => (RoutingMode::CookieBased, false),
-        };
-        self.overhead
-            .request_cost(mode, sticky, decision.shadows.len())
     }
 
     /// Read access to the sticky-session table (for tests and dashboards).
@@ -298,7 +361,12 @@ struct Pass<'a> {
     tokens: Option<MutexGuard<'a, TokenGenerator>>,
     /// Sticky bindings not yet in the store, with their shard.
     binds: Vec<(usize, SessionToken, VersionId)>,
-    stats: ProxyStats,
+    requests: u64,
+    shadow_copies: u64,
+    sticky_hits: u64,
+    /// Primary requests per version, in first-routed order: a
+    /// configuration names a handful of versions.
+    per_version: Vec<(VersionId, u64)>,
 }
 
 impl<'a> Pass<'a> {
@@ -307,14 +375,35 @@ impl<'a> Pass<'a> {
             proxy,
             tokens: None,
             binds: Vec::new(),
-            stats: ProxyStats::default(),
+            requests: 0,
+            shadow_copies: 0,
+            sticky_hits: 0,
+            per_version: Vec::new(),
         }
     }
 
-    /// Applies the buffered bindings and merges the call's statistics.
+    /// Applies the buffered bindings and merges the call's counters into
+    /// the proxy's statistics.
     fn finish(mut self) {
         self.flush();
-        self.proxy.stats.lock().merge(&self.stats);
+        let mut stats = self.proxy.stats.lock();
+        stats.requests += self.requests;
+        stats.shadow_copies += self.shadow_copies;
+        stats.sticky_hits += self.sticky_hits;
+        for &(version, count) in &self.per_version {
+            *stats.per_version.entry(version).or_insert(0) += count;
+        }
+    }
+
+    /// Counts one routing decision.
+    fn tally(&mut self, decision: &RoutingDecision) {
+        self.requests += 1;
+        self.shadow_copies += decision.shadows.len() as u64;
+        self.sticky_hits += u64::from(decision.from_sticky_session);
+        match (self.per_version.iter_mut()).find(|(version, _)| *version == decision.primary) {
+            Some((_, count)) => *count += 1,
+            None => self.per_version.push((decision.primary, 1)),
+        }
     }
 
     fn mint(&mut self) -> SessionToken {
@@ -350,12 +439,12 @@ impl<'a> Pass<'a> {
         self.binds.clear();
     }
 
-    fn route(&mut self, request: &ProxyRequest, user: Option<&User>) -> RoutingDecision {
+    fn route(&mut self, client: Client<'_>, user: Option<&User>) -> RoutingDecision {
         let compiled = &self.proxy.compiled;
         let mut decision = match &compiled.split {
             None => RoutingDecision::to(compiled.default_version),
             Some(rule) => {
-                let selected = match (user, request.user) {
+                let selected = match (user, client.user) {
                     (Some(user), _) => rule.selector.selects(user),
                     (None, Some(user_id)) => rule.selector.selects(&User::new(user_id)),
                     (None, None) => true,
@@ -364,8 +453,8 @@ impl<'a> Pass<'a> {
                     RoutingDecision::to(compiled.default_version)
                 } else {
                     match rule.mode {
-                        RoutingMode::HeaderBased => route_by_header(compiled, rule, request),
-                        RoutingMode::CookieBased => self.route_by_cookie(rule, request),
+                        RoutingMode::HeaderBased => route_by_header(compiled, rule, client),
+                        RoutingMode::CookieBased => self.route_by_cookie(rule, client),
                     }
                 }
             }
@@ -386,10 +475,10 @@ impl<'a> Pass<'a> {
             // bucketing): an identified user keeps one shadow decision
             // whether or not their request carries the sticky cookie minted
             // later.
-            let identity = request
+            let identity = client
                 .user
                 .map(UserId::raw)
-                .or_else(|| request.session_token().map(|token| token.raw() as u64))
+                .or_else(|| client.token.map(|token| token.raw() as u64))
                 .or_else(|| decision.set_cookie.map(|token| token.raw() as u64));
             let draw = match identity {
                 Some(bits) => shadow_draw(bits),
@@ -415,14 +504,14 @@ impl<'a> Pass<'a> {
                 }
             }
         }
-        self.stats.tally(&decision);
+        self.tally(&decision);
         decision
     }
 
-    fn route_by_cookie(&mut self, rule: &CompiledSplit, request: &ProxyRequest) -> RoutingDecision {
+    fn route_by_cookie(&mut self, rule: &CompiledSplit, client: Client<'_>) -> RoutingDecision {
         // A returning client with a bound session keeps its version.
         if rule.sticky {
-            if let Some(token) = request.session_token() {
+            if let Some(token) = client.token {
                 if let Some(version) = self.lookup(token) {
                     let mut decision = RoutingDecision::to(version);
                     decision.from_sticky_session = true;
@@ -432,7 +521,7 @@ impl<'a> Pass<'a> {
         }
         // Otherwise bucket the client: prefer the session token (returning
         // anonymous client), then the user id, then a fresh token.
-        let (token, draw) = match (request.session_token(), request.user) {
+        let (token, draw) = match (client.token, client.user) {
             (Some(token), _) => (Some(token), token.bucket_draw()),
             (None, Some(user)) => (None, user_draw(user)),
             (None, None) => {
@@ -446,7 +535,7 @@ impl<'a> Pass<'a> {
             let token = token.unwrap_or_else(|| self.mint());
             self.bind(token, version);
             decision.set_cookie = Some(token);
-        } else if request.session_token().is_none() && request.user.is_none() {
+        } else if client.token.is_none() && client.user.is_none() {
             // Non-sticky cookie routing still sets the re-identification
             // cookie so that traffic shares stay consistent per client.
             decision.set_cookie = token;
@@ -458,10 +547,10 @@ impl<'a> Pass<'a> {
 fn route_by_header(
     compiled: &CompiledRules,
     rule: &CompiledSplit,
-    request: &ProxyRequest,
+    client: Client<'_>,
 ) -> RoutingDecision {
     let versions = &rule.versions;
-    let target = match request.group_header() {
+    let target = match client.group {
         Some("A") | Some("a") => versions.first().copied(),
         Some("B") | Some("b") => versions.get(1).copied(),
         Some(other) => other

@@ -63,17 +63,27 @@ impl ProxyRequest {
     }
 }
 
-/// Parses the canonical UUID rendering produced by
-/// [`SessionToken::to_string`] back into a token. Returns `None` for
-/// malformed cookies (the proxy then treats the request as new).
+/// Parses the canonical 8-4-4-4-12 hex rendering produced by
+/// [`SessionToken::to_string`] back into a token, reading the `&str` in
+/// place. Returns `None` for anything else (the proxy then treats the
+/// request as new).
 fn parse_token(raw: &str) -> Option<SessionToken> {
-    let hex: String = raw.chars().filter(|c| *c != '-').collect();
-    if hex.len() != 32 {
+    let bytes = raw.as_bytes();
+    if bytes.len() != 36 {
         return None;
     }
-    u128::from_str_radix(&hex, 16)
-        .ok()
-        .map(SessionToken::from_raw)
+    let mut value = 0u128;
+    for (i, &byte) in bytes.iter().enumerate() {
+        if matches!(i, 8 | 13 | 18 | 23) {
+            if byte != b'-' {
+                return None;
+            }
+            continue;
+        }
+        let digit = char::from(byte).to_digit(16)?;
+        value = value << 4 | u128::from(digit);
+    }
+    Some(SessionToken::from_raw(value))
 }
 
 /// A duplicated ("shadowed") copy of the request produced by a dark-launch
@@ -134,7 +144,17 @@ mod tests {
 
     #[test]
     fn malformed_cookies_are_ignored() {
-        for raw in ["not-a-uuid", "1234"] {
+        for raw in [
+            "not-a-uuid",
+            "1234",
+            // Right length, but the dashes are misplaced or missing.
+            "0123456-89abc-def0-1234-56789abcdef01",
+            "0123456789abcdef0123456789abcdef----",
+            // A sign is not a hex digit.
+            "+1234567-89ab-cdef-0123-456789abcdef",
+            "0123456g-89ab-cdef-0123-456789abcdef",
+            "",
+        ] {
             let mut request = ProxyRequest::new();
             request
                 .cookies

@@ -3,14 +3,19 @@
 //! Every container owns a [`CpuResource`] with one or more cores. Work is
 //! submitted as `(arrival time, service demand)`; the resource runs it on a
 //! core that frees up first, producing a start time (possibly delayed by
-//! queueing) and a completion time. The core free times are kept as a binary
-//! min-heap, so a submission costs O(log c) on a `c`-core VM (proxy VMs run
-//! to hundreds of cores) and [`CpuResource::earliest_start`] and
-//! [`CpuResource::drained_at`] cost O(1). The resource also tracks
-//! accumulated busy time so utilisation over arbitrary windows can be
-//! reported — this is the mechanism behind Figures 7–10 (engine CPU
-//! utilisation and enactment delay as a function of parallel strategies /
-//! checks on a single-core VM).
+//! queueing) and a completion time.
+//!
+//! The model has two parts. A [`CoreHeap`] holds the core free times as a
+//! binary min-heap and decides every start and completion: a submission
+//! costs O(log c) on a `c`-core VM (proxy VMs run to hundreds of cores), and
+//! [`CoreHeap::earliest_start`] and [`CoreHeap::drained_at`] cost O(1). A
+//! [`CpuResource`] is a heap plus busy accounting: the accumulated busy
+//! time and the execution intervals not yet attributed to a sampling
+//! window, so utilisation over arbitrary windows can be reported — this is
+//! the mechanism behind Figures 7–10 (engine CPU utilisation and enactment
+//! delay as a function of parallel strategies / checks on a single-core
+//! VM). A CPU whose utilisation nothing samples, such as the traffic data
+//! plane's proxy VM, holds the heap alone and logs no intervals.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -39,14 +44,15 @@ impl WorkReceipt {
     }
 }
 
-/// A processor with `cores` identical cores executing work in FIFO order per
-/// core (work is dispatched to a core with the earliest free time).
+/// The cores of a processor: `cores` identical cores executing work in
+/// FIFO order per core (work is dispatched to a core with the earliest free
+/// time), with no accounting of what they ran.
 ///
 /// Which of several equally free cores takes the work cannot change any
 /// output: receipts depend only on the multiset of core free times, so the
 /// cores are kept anonymous in a heap rather than indexed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CpuResource {
+pub struct CoreHeap {
     /// The time each core becomes idle again, as an implicit binary min-heap:
     /// `cores[i] <= cores[2i + 1]` and `cores[i] <= cores[2i + 2]`, so
     /// `cores[0]` is the earliest free time.
@@ -54,34 +60,15 @@ pub struct CpuResource {
     /// The latest core free time. A core's free time never decreases, so
     /// this is the running maximum of every completion.
     latest: SimTime,
-    /// Total busy time accumulated across all cores.
-    busy: Duration,
-    /// Execution intervals `(start, end)` not yet fully attributed to a
-    /// utilisation sampling window.
-    pending_intervals: Vec<(SimTime, SimTime)>,
-    /// Time of the last utilisation sample.
-    last_sample_at: SimTime,
-    /// Number of work items executed.
-    executed: u64,
 }
 
-impl CpuResource {
-    /// Creates a CPU with the given number of cores (minimum 1).
+impl CoreHeap {
+    /// Creates `cores` idle cores (minimum 1).
     pub fn new(cores: usize) -> Self {
         Self {
             cores: vec![SimTime::ZERO; cores.max(1)],
             latest: SimTime::ZERO,
-            busy: Duration::ZERO,
-            pending_intervals: Vec::new(),
-            last_sample_at: SimTime::ZERO,
-            executed: 0,
         }
-    }
-
-    /// A single-core CPU — the `n1-standard-1` instances of the paper's
-    /// testbed.
-    pub fn single_core() -> Self {
-        Self::new(1)
     }
 
     /// Number of cores.
@@ -89,32 +76,15 @@ impl CpuResource {
         self.cores.len()
     }
 
-    /// Number of work items executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Total busy time accumulated across all cores.
-    pub fn total_busy(&self) -> Duration {
-        self.busy
-    }
-
-    /// Submits work arriving at `arrival` with the given service `demand`.
-    /// Returns when the work started and completed. O(log c) for `c` cores.
-    ///
-    /// Virtual time has microsecond resolution, so a sub-microsecond part of
-    /// `demand` is dropped; the busy total is charged what the core's
-    /// timeline actually holds, `completed - started`.
+    /// Runs work arriving at `arrival` with the given service `demand` on
+    /// the earliest free core. Returns when it started and completed.
+    /// O(log c) for `c` cores. Virtual time has microsecond resolution, so
+    /// a sub-microsecond part of `demand` is dropped.
     pub fn submit(&mut self, arrival: SimTime, demand: Duration) -> WorkReceipt {
         let started = self.cores[0].max(arrival);
         let completed = started + demand;
         self.replace_earliest(completed);
         self.latest = self.latest.max(completed);
-        self.busy += completed - started;
-        if !demand.is_zero() {
-            self.pending_intervals.push((started, completed));
-        }
-        self.executed += 1;
         WorkReceipt {
             arrived: arrival,
             started,
@@ -154,6 +124,84 @@ impl CpuResource {
     pub fn drained_at(&self) -> SimTime {
         self.latest
     }
+}
+
+/// A processor: a [`CoreHeap`] plus the accounting of what its cores ran,
+/// which [`CpuResource::sample_utilization`] and
+/// [`CpuResource::average_utilization`] report.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CpuResource {
+    heap: CoreHeap,
+    /// Total busy time accumulated across all cores.
+    busy: Duration,
+    /// Execution intervals `(start, end)` not yet fully attributed to a
+    /// utilisation sampling window.
+    pending_intervals: Vec<(SimTime, SimTime)>,
+    /// Time of the last utilisation sample.
+    last_sample_at: SimTime,
+    /// Number of work items executed.
+    executed: u64,
+}
+
+impl CpuResource {
+    /// Creates a CPU with the given number of cores (minimum 1).
+    pub fn new(cores: usize) -> Self {
+        Self {
+            heap: CoreHeap::new(cores),
+            busy: Duration::ZERO,
+            pending_intervals: Vec::new(),
+            last_sample_at: SimTime::ZERO,
+            executed: 0,
+        }
+    }
+
+    /// A single-core CPU — the `n1-standard-1` instances of the paper's
+    /// testbed.
+    pub fn single_core() -> Self {
+        Self::new(1)
+    }
+
+    /// Number of cores.
+    pub fn core_count(&self) -> usize {
+        self.heap.core_count()
+    }
+
+    /// Number of work items executed so far.
+    pub fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// Total busy time accumulated across all cores.
+    pub fn total_busy(&self) -> Duration {
+        self.busy
+    }
+
+    /// Submits work arriving at `arrival` with the given service `demand`.
+    /// Returns when the work started and completed. O(log c) for `c` cores.
+    ///
+    /// Virtual time has microsecond resolution, so a sub-microsecond part of
+    /// `demand` is dropped; the busy total is charged what the core's
+    /// timeline actually holds, `completed - started`.
+    pub fn submit(&mut self, arrival: SimTime, demand: Duration) -> WorkReceipt {
+        let receipt = self.heap.submit(arrival, demand);
+        self.busy += receipt.completed - receipt.started;
+        if !demand.is_zero() {
+            self.pending_intervals
+                .push((receipt.started, receipt.completed));
+        }
+        self.executed += 1;
+        receipt
+    }
+
+    /// The earliest time at which a newly arriving item could start. O(1).
+    pub fn earliest_start(&self, arrival: SimTime) -> SimTime {
+        self.heap.earliest_start(arrival)
+    }
+
+    /// The time at which all queued work is finished. O(1).
+    pub fn drained_at(&self) -> SimTime {
+        self.heap.drained_at()
+    }
 
     /// Utilisation in percent of total core capacity since the previous call
     /// to this method, sampled at `now`. The first call measures from time
@@ -182,7 +230,7 @@ impl CpuResource {
         let utilization = if window.is_zero() {
             0.0
         } else {
-            let capacity = window.as_secs_f64() * self.cores.len() as f64;
+            let capacity = window.as_secs_f64() * self.core_count() as f64;
             (busy_in_window.as_secs_f64() / capacity * 100.0).min(100.0)
         };
         self.last_sample_at = now;
@@ -198,7 +246,7 @@ impl CpuResource {
         if elapsed <= 0.0 {
             return 0.0;
         }
-        let capacity = elapsed * self.cores.len() as f64;
+        let capacity = elapsed * self.core_count() as f64;
         (self.busy.as_secs_f64() / capacity * 100.0).min(100.0)
     }
 }
@@ -301,6 +349,32 @@ mod tests {
         }
         assert_eq!(cpu.average_utilization(SimTime::from_secs(1)), 100.0);
         assert!((cpu.average_utilization(SimTime::from_secs(2)) - 75.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn core_heap_receipts_equal_the_cpu_resource_receipts() {
+        // The bare heap must decide exactly what the resource it was split
+        // out of decides, over seeded non-monotone arrivals (many sharing
+        // an instant) with zero, sub-microsecond and long demands.
+        for seed in 1..=24 {
+            let mut rng = crate::rng::SimRng::seeded(seed);
+            let cores = [1, 2, 3, 7, 64, 300][seed as usize % 6];
+            let mut heap = CoreHeap::new(cores);
+            let mut cpu = CpuResource::new(cores);
+            for _ in 0..2_000 {
+                let arrival = SimTime::from_micros((rng.uniform() * 200.0) as u64 * 100);
+                let demand = match (rng.uniform() * 4.0) as u32 {
+                    0 => Duration::ZERO,
+                    1 => Duration::from_nanos((rng.uniform() * 1_000.0) as u64),
+                    2 => Duration::from_nanos((rng.uniform() * 3e6) as u64),
+                    _ => Duration::from_nanos((rng.uniform() * 1e9) as u64),
+                };
+                assert_eq!(heap.submit(arrival, demand), cpu.submit(arrival, demand));
+                assert_eq!(heap.earliest_start(arrival), cpu.earliest_start(arrival));
+                assert_eq!(heap.drained_at(), cpu.drained_at());
+            }
+            assert_eq!(heap.core_count(), cpu.core_count());
+        }
     }
 
     #[test]

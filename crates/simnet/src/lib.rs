@@ -5,9 +5,9 @@
 //!
 //! * **virtual time** ([`SimTime`], microsecond resolution),
 //! * **CPUs** whose contention produces queueing delay and utilisation
-//!   ([`CpuResource`]; a heap of core free times makes each submission
-//!   O(log c), so proxy VMs of hundreds of cores cost little to simulate),
-//!   and
+//!   ([`CpuResource`]; a heap of core free times, [`CoreHeap`], makes each
+//!   submission O(log c), so proxy VMs of hundreds of cores cost little to
+//!   simulate), and
 //! * a **cluster** of containers, each on a single-core VM of its own, with
 //!   a per-hop network latency between them, exporting cAdvisor-style
 //!   resource metrics into a shared metric store ([`Cluster`]).
@@ -29,14 +29,14 @@ pub mod rng;
 pub mod time;
 
 pub use cluster::{Cluster, ContainerId};
-pub use cpu::{CpuResource, WorkReceipt};
+pub use cpu::{CoreHeap, CpuResource, WorkReceipt};
 pub use rng::SimRng;
 pub use time::SimTime;
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::cluster::{Cluster, ContainerId};
-    pub use crate::cpu::{CpuResource, WorkReceipt};
+    pub use crate::cpu::{CoreHeap, CpuResource, WorkReceipt};
     pub use crate::rng::SimRng;
     pub use crate::time::SimTime;
 }

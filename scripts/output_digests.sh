@@ -10,7 +10,9 @@
 #   * a one-service `bifrost run --traffic` on queued backends whose runs
 #     of ticks exceed 1024 arrivals, so that on two or more CPUs its service
 #     routes on one thread and serves on another (under `taskset -c 0`, it
-#     does both on one).
+#     does both on one),
+#   * a one-service `bifrost run --traffic` that takes a sticky gradual
+#     rollout and then a dark launch through the engine's traffic streams.
 #
 # Everything here runs in virtual time, so the digests depend only on the
 # code. Lines that report wall-clock time are dropped, and the JSON keeps
@@ -160,3 +162,63 @@ strategy:
       duration: 10
 EOF
 "$bifrost" run "$strategy" --verbose --traffic 3000 | digest "bifrost run --traffic 3000: one service"
+
+# One service at 3000 req/s on queued backends of different speeds: a
+# sticky 10 -> 30 -> 50% gradual rollout that checks the canary's errors
+# every 2 s, then a 30% dark launch. Every request mints a sticky token.
+strategy="$work/sticky-rollout.yml"
+cat >"$strategy" <<'EOF'
+name: sticky-rollout
+engine:
+  tick: 0.1
+  cores: 32
+  backends:
+    - service: cart
+      version: v1
+      service_time_ms: 2
+      replicas: 10
+    - service: cart
+      version: v2
+      service_time_ms: 4
+      replicas: 12
+deployment:
+  services:
+    - service: cart
+      versions:
+        - name: v1
+          host: 10.2.0.1
+          port: 8080
+        - name: v2
+          host: 10.2.0.2
+          port: 8080
+strategy:
+  phases:
+    - phase: gradual_rollout
+      name: rollout
+      service: cart
+      stable: v1
+      candidate: v2
+      sticky: true
+      from_traffic: 10
+      to_traffic: 50
+      step: 20
+      step_duration: 3
+      checks:
+        - metric:
+            name: v2-errors
+            provider: prometheus
+            query: 'request_errors{service="cart",version="v2"}'
+            aggregation: rate
+            window: 5
+            intervalTime: 2
+            intervalLimit: 2
+            validator: "<50"
+    - phase: dark_launch
+      name: dark
+      service: cart
+      from: v1
+      to: v2
+      traffic: 30
+      duration: 6
+EOF
+"$bifrost" run "$strategy" --verbose --traffic 3000 | digest "bifrost run --traffic 3000: sticky rollout"
